@@ -125,10 +125,7 @@ def cmd_odmr_sim(args):
         system, env, args.mode, grid, contrast=args.contrast,
         ensemble=args.ensemble, noise=noise)
     lines = []
-    for variant in ([system] if not args.ensemble else
-                    [spin_model.SpinSystem(system.d_zfs, system.gamma_e,
-                                           system.nuclei, o)
-                     for o in spin_model.nv_orientations()]):
+    for variant in spin_model.orientation_variants(system) if args.ensemble else (system,):
         lines.extend(spin_model.transition_lines(variant, env, merge_tol=0.01))
     lines.sort()
     record = {

@@ -4,7 +4,7 @@ Sequences run in the frame rotating at the microwave drive frequency; the
 counter-rotating terms are dropped (valid for drive strengths far below the
 2.87 GHz transition scale, in practice rabi_freq <= 20 MHz). Propagation
 uses exact matrix exponentials of each piecewise-constant Hamiltonian via
-the Jacobi eigensolver, so there is no step-size error.
+one LAPACK Hermitian eigensolve per segment, so there is no step-size error.
 
 Decoherence is phenomenological: envelopes multiply coherences. The
 closed-form trace models (FID, Hahn echo, relaxometry) carry stretched
@@ -235,26 +235,21 @@ class _RotatingFrame:
         return float(np.trace(rho @ self.p0).real)
 
 
-def _propagator(h: np.ndarray, duration: float) -> np.ndarray:
+def _evolve(rho, h, duration, t_coh, t1_us):
+    """Evolve ``rho`` for ``duration`` under ``h`` in the eigenbasis of ``h``.
+
+    Coherences between eigenstates pick up their phases and decay with
+    ``t_coh``; populations relax towards the mixed state with ``t1_us``.
+    """
     evals, evecs = eigenlevels(h)
     phases = np.exp(-2j * np.pi * evals * duration)
-    return (evecs * phases) @ evecs.conj().T
-
-
-def _damp_coherences(rho, h, duration, t_coh, t1_us):
-    """Exponential damping of off-diagonals in the eigenbasis of ``h``."""
-    evals, evecs = eigenlevels(h)
-    rho_e = evecs.conj().T @ rho @ evecs
-    n = rho_e.shape[0]
-    decay = np.exp(-duration / t_coh)
-    off = ~np.eye(n, dtype=bool)
-    rho_e[off] *= decay
+    n = len(evals)
+    damp = np.full((n, n), np.exp(-duration / t_coh))
+    np.fill_diagonal(damp, 1.0)
+    rho_e = (evecs.conj().T @ rho @ evecs) * np.outer(phases, phases.conj()) * damp
     if np.isfinite(t1_us):
-        pops = np.diag(rho_e).real
-        mixed = np.full(n, 1.0 / n)
-        relax = np.exp(-duration / t1_us)
-        new_pops = mixed + (pops - mixed) * relax
-        np.fill_diagonal(rho_e, new_pops)
+        mixed, relax = 1.0 / n, np.exp(-duration / t1_us)
+        np.fill_diagonal(rho_e, mixed + (np.diag(rho_e).real - mixed) * relax)
     return evecs @ rho_e @ evecs.conj().T
 
 
@@ -274,6 +269,10 @@ def propagate_sequence(
     """
     frame = _RotatingFrame(system, env, seq.drive_freq)
     h_free = frame.hamiltonian(0.0, 0.0)
+    if coh is None:
+        t_rabi = t_free = t1_us = np.inf
+    else:
+        t_rabi, t_free, t1_us = coh.t_rho_rabi, coh.t2_star, coh.t1 * 1000.0
 
     rho = None
     t_elapsed = 0.0
@@ -285,18 +284,10 @@ def propagate_sequence(
             t_elapsed += element.duration
         elif isinstance(element, MwPulse):
             h = frame.hamiltonian(element.rabi_freq, element.phase)
-            u = _propagator(h, element.duration)
-            rho = u @ rho @ u.conj().T
-            if coh is not None and element.duration > 0:
-                rho = _damp_coherences(rho, h, element.duration,
-                                       coh.t_rho_rabi, coh.t1 * 1000.0)
+            rho = _evolve(rho, h, element.duration, t_rabi, t1_us)
             t_elapsed += element.duration
         elif isinstance(element, Wait):
-            u = _propagator(h_free, element.duration)
-            rho = u @ rho @ u.conj().T
-            if coh is not None and element.duration > 0:
-                rho = _damp_coherences(rho, h_free, element.duration,
-                                       coh.t2_star, coh.t1 * 1000.0)
+            rho = _evolve(rho, h_free, element.duration, t_free, t1_us)
             t_elapsed += element.duration
         else:  # Readout
             population = frame.ms0_population(rho)
@@ -334,11 +325,9 @@ def simulate_rabi(
     rho_e = evecs.conj().T @ rho0 @ evecs
     p0_e = evecs.conj().T @ frame.p0 @ evecs
 
-    pops = np.empty_like(durations)
-    for k, t in enumerate(durations):
-        phases = np.exp(-2j * np.pi * evals * t)
-        rho_t = (phases[:, None] * rho_e) * np.conj(phases)[None, :]
-        pops[k] = np.trace(rho_t @ p0_e).real
+    # trace(rho(t) p0) with rho(t)_ij = e^{-2 pi i (E_i - E_j) t} rho_ij
+    phases = np.exp(-2j * np.pi * np.outer(durations, evals))
+    pops = np.einsum("ti,ij,tj->t", phases, rho_e * p0_e.T, phases.conj()).real
 
     if coh is not None:
         mean = np.mean(pops)

@@ -13,7 +13,8 @@ sensitivity context, 1.53 us; the 6.6 nT/sqrt(Hz) figure corresponds to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from .constants import G_LANDE, HBAR_J_S, MU_B_J_PER_T
 
@@ -33,9 +34,10 @@ class SensorParams:
     t2: float
 
     def __post_init__(self):
-        if min(self.count_rate, self.contrast, self.readout_window,
-               self.t2_star, self.t2) <= 0:
-            raise MagnetometryError("all sensor parameters must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value > 0):
+                raise MagnetometryError(f"{f.name} must be finite and positive, got {value!r}")
         if self.contrast >= 1:
             raise MagnetometryError("contrast must be below 1")
         if self.t2 < self.t2_star:

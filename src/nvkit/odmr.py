@@ -18,7 +18,7 @@ from .noise import NoiseSpec, apply_noise
 from .spin_model import (
     FieldEnvironment,
     SpinSystem,
-    nv_orientations,
+    orientation_variants,
     transition_lines,
 )
 
@@ -143,11 +143,7 @@ def synthesize_spectrum(
         raise OdmrError(f"unknown mode {mode!r}; expected 'cw' or 'pulsed'")
     width = fwhm if fwhm is not None else (CW_FWHM_MHZ if mode == "cw" else PULSED_FWHM_MHZ)
 
-    if ensemble:
-        variants = [SpinSystem(system.d_zfs, system.gamma_e, system.nuclei, o)
-                    for o in nv_orientations()]
-    else:
-        variants = [system]
+    variants = orientation_variants(system) if ensemble else (system,)
 
     lines: list[tuple[float, float]] = []
     for variant in variants:

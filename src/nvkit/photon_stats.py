@@ -241,6 +241,10 @@ def fit_saturation(powers, counts) -> SaturationFit:
         raise PhotonStatsError("need at least 3 distinct powers")
     if np.any(powers <= 0):
         raise PhotonStatsError("powers must be positive")
+    if not np.all(np.isfinite(counts)):
+        raise PhotonStatsError("counts must be finite")
+    if counts.max() <= 0:
+        raise PhotonStatsError("counts must have a positive maximum")
 
     c0 = 1.5 * float(counts.max())
     half = 0.5 * counts.max()
@@ -250,10 +254,11 @@ def fit_saturation(powers, counts) -> SaturationFit:
     def residuals(p):
         return p[0] * powers / (powers + p[1]) - counts
 
-    fit = levenberg_marquardt(residuals, [c0, p0],
-                              bounds=[(1e-12, np.inf), (1e-12, np.inf)])
-    if fit.params[0] <= 0 or fit.params[1] <= 0:
-        raise FitError("saturation fit collapsed to a non-physical solution")
+    floor = 1e-12
+    fit = levenberg_marquardt(residuals, [c0, p0], bounds=[(floor, np.inf)] * 2)
+    if min(fit.params) <= floor:
+        raise FitError(f"saturation fit ended on its {floor:g} lower bound "
+                       f"(c_sat={fit.params[0]:g}, p_sat={fit.params[1]:g})")
     return SaturationFit(c_sat=float(fit.params[0]), p_sat=float(fit.params[1]),
                          errors=fit.stderr, converged=fit.converged)
 

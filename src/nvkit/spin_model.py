@@ -18,7 +18,7 @@ negligible second-order shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -163,6 +163,11 @@ class SpinSystem:
         return dim
 
 
+def orientation_variants(system: SpinSystem) -> tuple[SpinSystem, ...]:
+    """``system`` in each of the four NV orientations, in the fixed order."""
+    return tuple(replace(system, orientation=o) for o in nv_orientations())
+
+
 @dataclass(frozen=True)
 class HamiltonianMatrix:
     """Hermitian matrix in MHz with its Hilbert-space dimension."""
@@ -250,49 +255,18 @@ def resonance_frequencies_approx(d: float, xi: float, delta: float):
 def eigenlevels(h: HamiltonianMatrix | np.ndarray):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
 
-    Cyclic Jacobi rotations; stops when the off-diagonal Frobenius norm
-    falls below 1e-12 times the matrix norm, at most 100 sweeps.
+    LAPACK's Hermitian solver (``np.linalg.eigh``) on the lower triangle;
+    eigenvector ``k`` is column ``k``. Within a degenerate eigenvalue the
+    basis of the eigenspace is whatever LAPACK returns.
     """
     a = h.entries if isinstance(h, HamiltonianMatrix) else np.asarray(h, dtype=complex)
-    a = np.array(a, dtype=complex)
     n = a.shape[0]
     if a.shape != (n, n):
         raise SpinModelError("eigenlevels requires a square matrix")
     scale = max(np.linalg.norm(a), 1e-300)
     if np.max(np.abs(a - a.conj().T)) > 1e-9 * scale:
         raise SpinModelError("eigenlevels requires a Hermitian matrix")
-
-    v = np.eye(n, dtype=complex)
-    tol = 1e-12 * scale
-    for _sweep in range(100):
-        off = np.sqrt(max(np.sum(np.abs(a) ** 2) - np.sum(np.abs(np.diag(a)) ** 2), 0.0))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= tol / max(n, 1):
-                    continue
-                phase = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c * phase
-                # columns, then rows (A <- G^H A G with G = [[c, s], [-conj(s), c]])
-                col_p = a[:, p].copy()
-                a[:, p] = c * col_p - np.conj(s) * a[:, q]
-                a[:, q] = s * col_p + c * a[:, q]
-                row_p = a[p, :].copy()
-                a[p, :] = c * row_p - s * a[q, :]
-                a[q, :] = np.conj(s) * row_p + c * a[q, :]
-                vcol_p = v[:, p].copy()
-                v[:, p] = c * vcol_p - np.conj(s) * v[:, q]
-                v[:, q] = s * vcol_p + c * v[:, q]
-
-    evals = np.diag(a).real
-    order = np.argsort(evals, kind="stable")
-    return evals[order], v[:, order]
+    return np.linalg.eigh(a)
 
 
 def ms0_projector(system: SpinSystem) -> np.ndarray:

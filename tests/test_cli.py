@@ -154,6 +154,23 @@ def test_computation_error_exits_1():
     assert result.returncode == 1
 
 
+@pytest.mark.parametrize("count_rate", ["inf", "nan"])
+def test_sensitivity_nonfinite_count_rate_exits_1(count_rate):
+    result = run_cli(["sensitivity", "--count-rate", count_rate, "--contrast", "0.2",
+                      "--readout-us", "0.5", "--t2star-us", "1.76", "--t2-us", "494"])
+    assert result.returncode == 1
+    assert "count_rate" in result.stderr
+    assert "# nvkit v1" not in result.stdout
+
+
+def test_sat_fit_negative_counts_exits_1(tmp_path):
+    path = tmp_path / "sat.txt"
+    path.write_text("0.5 -100\n1 -150\n2 -200\n4 -230\n")
+    result = run_cli(["sat-fit", "--in", str(path)])
+    assert result.returncode == 1
+    assert "# nvkit v1" not in result.stdout
+
+
 def test_help_available_for_all_subcommands(data_dir, tmp_path):
     for name in all_subcommand_argvs(data_dir, tmp_path):
         result = run_cli([name, "--help"])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nvkit import dynamics
 from nvkit.constants import GAMMA_C13_MHZ_PER_MT
 from nvkit.dynamics import (
     CoherenceParams,
@@ -24,7 +25,13 @@ from nvkit.dynamics import (
     simulate_rabi,
     simulate_relaxometry,
 )
-from nvkit.spin_model import FieldEnvironment, HyperfineCoupling, SpinSystem, transition_lines
+from nvkit.spin_model import (
+    FieldEnvironment,
+    HyperfineCoupling,
+    SpinSystem,
+    eigenlevels,
+    transition_lines,
+)
 
 AXIS_111 = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
 COH = CoherenceParams(t1=4.5, t2=494.0, t2_star=1.76, t_rho_rabi=4.0)
@@ -158,6 +165,54 @@ def test_rabi_dephasing_envelope():
                           readout_contrast=1.0)
     late = curve.signal[times > 10.0 * COH.t_rho_rabi / 4.0]
     assert np.all(np.abs(late - late.mean()) < 0.2)
+
+
+def test_rabi_sweep_matches_single_pulse_sequences():
+    system = SpinSystem(nuclei=(HyperfineCoupling.nitrogen14(),))
+    env = FieldEnvironment(b_lab=4.6 * AXIS_111)
+    f_drive = transition_lines(system, env)[0][0]
+    times = np.array([0.0, 0.13, 0.5, 0.9, 1.7, 2.2, 3.1, 4.0])
+    curve = simulate_rabi(system, env, None, f_drive, 3.0, times, readout_contrast=1.0)
+    for t, signal in zip(times, curve.signal):
+        seq = PulseSequence((LaserInit(1.0), MwPulse(f_drive, 3.0, 0.0, t), Readout(0.5)))
+        assert signal == pytest.approx(propagate_sequence(system, env, seq).population,
+                                       abs=1e-12)
+
+
+def ramsey(f_drive, tau, rabi=5.0):
+    half_pi = MwPulse(f_drive, rabi, 0.0, 1.0 / (4.0 * rabi))
+    return PulseSequence((LaserInit(1.0), half_pi, Wait(tau), half_pi, Readout(0.5)))
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5, 1.76, 4.0])
+def test_ramsey_population_decays_with_t2_star(tau):
+    system, env, f_low = isolated_two_level()
+    coh = CoherenceParams(t1=1e7, t2=1e6, t2_star=1.76, t_rho_rabi=1e9)
+    population = propagate_sequence(system, env, ramsey(f_low, tau), coh).population
+    assert population == pytest.approx(0.5 * (1.0 - np.exp(-tau / 1.76)), abs=1e-5)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5, 1.76, 4.0, 25.0])
+def test_wait_relaxes_population_with_t1(tau):
+    system, env, _ = isolated_two_level()
+    coh = CoherenceParams(t1=0.01, t2=10.0, t2_star=1.76, t_rho_rabi=4.0)
+    seq = PulseSequence((LaserInit(1.0), Wait(tau), Readout(0.5)))
+    population = propagate_sequence(system, env, seq, coh).population
+    assert population == pytest.approx(1.0 / 3.0 + 2.0 / 3.0 * np.exp(-tau / 10.0),
+                                       abs=1e-12)
+
+
+def test_decoherent_sequence_diagonalizes_each_segment_once(monkeypatch):
+    calls = []
+
+    def counting_eigenlevels(h):
+        calls.append(h)
+        return eigenlevels(h)
+
+    monkeypatch.setattr(dynamics, "eigenlevels", counting_eigenlevels)
+    system, env, f_low = isolated_two_level()
+    propagate_sequence(system, env, ramsey(f_low, 1.0), COH)
+    assert len(calls) == 4  # the rotating frame, then one per segment
 
 
 # ---------------------------------------------------------------------------

@@ -80,3 +80,12 @@ def test_invalid_parameters_rejected():
                      t2_star=2.0, t2=1.0)
     with pytest.raises(MagnetometryError):
         sensitivity_si(1e3, 0.2, -0.5, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+@pytest.mark.parametrize("name", ["count_rate", "contrast", "readout_window", "t2_star", "t2"])
+def test_nonfinite_parameters_rejected_by_name(name, value):
+    fields = dict(count_rate=30e3, contrast=0.2, readout_window=0.5, t2_star=1.76, t2=494.0)
+    fields[name] = value
+    with pytest.raises(MagnetometryError, match=name):
+        SensorParams(**fields)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nvkit.fitting import FitError
 from nvkit.noise import NoiseSpec
 from nvkit.photon_stats import (
     G2Curve,
@@ -163,6 +164,21 @@ def test_fit_saturation_roundtrip():
 def test_fit_saturation_needs_three_powers():
     with pytest.raises(PhotonStatsError):
         fit_saturation([1.0, 1.0, 1.0], [5.0, 5.0, 5.0])
+
+
+@pytest.mark.parametrize("counts", [[-100.0, -150.0, -200.0, -230.0],
+                                    [0.0, 0.0, 0.0, 0.0],
+                                    [100.0, np.nan, 300.0, 400.0],
+                                    [100.0, 200.0, np.inf, 400.0]])
+def test_fit_saturation_rejects_nonfinite_or_nonpositive_counts(counts):
+    with pytest.raises(PhotonStatsError, match="counts"):
+        fit_saturation([0.5, 1.0, 2.0, 4.0], counts)
+
+
+def test_fit_saturation_pinned_on_bound_raises():
+    # counts falling with power: the best fit drives p_sat onto its lower bound
+    with pytest.raises(FitError, match="lower bound"):
+        fit_saturation([0.5, 1.0, 2.0, 4.0], [300.0, 200.0, 100.0, 50.0])
 
 
 # ---------------------------------------------------------------------------

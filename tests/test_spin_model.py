@@ -86,15 +86,26 @@ def test_eigenlevels_diagonal_input():
     assert np.allclose(np.abs(evecs), np.eye(3))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 6, 9, 18])
-def test_eigenlevels_reconstruction_and_orthonormality(n):
-    rng = np.random.default_rng(n)
-    a = random_hermitian(rng, n)
+def n14_c13_axial_hamiltonian(b_mt):
+    system = SpinSystem(nuclei=(HyperfineCoupling.nitrogen14(), HyperfineCoupling.carbon13()))
+    env = FieldEnvironment(b_lab=b_mt * system.orientation.axis)
+    return build_hamiltonian(system, env).entries
+
+
+@pytest.mark.parametrize("a", [
+    *(pytest.param(random_hermitian(np.random.default_rng(n), n), id=str(n))
+      for n in (2, 3, 4, 6, 9, 18)),
+    # the dimension-18 14N+13C Hamiltonian along the NV axis
+    *(pytest.param(n14_c13_axial_hamiltonian(b), id=f"n14c13-{b}mT")
+      for b in (4.0, 8.3333333333)),
+])
+def test_eigenlevels_reconstruction_and_orthonormality(a):
+    n = a.shape[0]
     evals, evecs = eigenlevels(a)
     assert np.all(np.diff(evals) >= -1e-12)
     assert np.max(np.abs(evecs.conj().T @ evecs - np.eye(n))) < 1e-10
     recon = evecs @ np.diag(evals) @ evecs.conj().T
-    assert np.max(np.abs(a - recon)) < 1e-8 * np.linalg.norm(a)
+    assert np.max(np.abs(a - recon)) < 1e-12 * np.linalg.norm(a)
 
 
 def test_eigenlevels_vs_charpoly_oracle_suite():
@@ -162,7 +173,7 @@ def test_spectrum_is_real():
     env = FieldEnvironment(b_lab=np.array([1.0, 2.0, 0.5]), shift_xi=1.0,
                            splitting_delta=2.0)
     evals, _ = eigenlevels(build_hamiltonian(system, env))
-    assert np.all(np.isfinite(evals))  # Jacobi returns the real diagonal
+    assert np.all(np.isfinite(evals))  # Hermitian eigenvalues are real
 
 
 def test_dimension_overflow_rejected():
