@@ -9,13 +9,14 @@ alternative divides by (4 pi/3) w_x w_y w_z. Their ratio is the constant
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
 from .constants import CARBON_DENSITY_PER_CM3
 from .fitting import FitError, levenberg_marquardt
+from .tables import parse_header, parse_rows, write_table
 
 GAUSS_INTEGRAL_PER_FWHM = float(np.sqrt(np.pi / (4.0 * np.log(2.0))))
 
@@ -26,6 +27,13 @@ class ConfocalError(ValueError):
 
 class MapFormatError(ConfocalError):
     """Map file violates the plmap v1 format; message carries the line."""
+
+
+def _require_finite(name, value, allow_zero=False):
+    """Raise ConfocalError naming ``name`` unless ``value`` is finite and > 0 (>= 0)."""
+    if not (np.isfinite(value) and (value > 0 or (allow_zero and value == 0))):
+        sign = "nonnegative" if allow_zero else "positive"
+        raise ConfocalError(f"{name} must be finite and {sign}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -44,12 +52,11 @@ class PLMap:
         if counts.shape != tuple(len(a) for a in axes):
             raise ConfocalError("counts shape does not match axis lengths")
         for a in axes:
-            if not np.all(np.diff(a) > 0):
-                raise ConfocalError("axis coordinates must be strictly increasing")
-        if np.any(counts < 0):
-            raise ConfocalError("counts must be nonnegative")
-        if self.power <= 0:
-            raise ConfocalError("excitation power must be positive")
+            if not (np.all(np.isfinite(a)) and np.all(np.diff(a) > 0)):
+                raise ConfocalError("axis coordinates must be finite and strictly increasing")
+        if not np.all(np.isfinite(counts) & (counts >= 0)):
+            raise ConfocalError("counts must be finite and nonnegative")
+        _require_finite("power", self.power)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "counts", counts)
 
@@ -85,8 +92,8 @@ class PsfModel:
     w_z: float
 
     def __post_init__(self):
-        if min(self.w_x, self.w_y, self.w_z) <= 0:
-            raise ConfocalError("PSF widths must be positive")
+        for f in fields(self):
+            _require_finite(f"PSF {f.name}", getattr(self, f.name))
 
 
 class DensityMethod(Enum):
@@ -177,8 +184,8 @@ def estimate_density(c_ensemble: float, c_single: float, psf: PsfModel,
 
     Both rates must be taken below saturation (caller's responsibility).
     """
-    if c_ensemble < 0 or c_single <= 0:
-        raise ConfocalError("count rates must be positive")
+    _require_finite("c_ensemble", c_ensemble, allow_zero=True)
+    _require_finite("c_single", c_single)
     ratio = c_ensemble / c_single
     if method is DensityMethod.GAUSSIAN:
         volume = (psf.w_x * psf.w_y * psf.w_z) * GAUSS_INTEGRAL_PER_FWHM ** 3
@@ -198,8 +205,8 @@ def gaussian_uniform_ratio() -> float:
 
 def enhancement_ratio(region_a: float, region_b: float) -> float:
     """PL (or density) enhancement of region A over region B."""
-    if region_b <= 0:
-        raise ConfocalError("reference region rate must be positive")
+    _require_finite("region_a", region_a, allow_zero=True)
+    _require_finite("region_b", region_b)
     return region_a / region_b
 
 
@@ -211,31 +218,22 @@ _AXIS_NAMES = ("x", "y", "z")
 
 def save_map(path, plmap: PLMap) -> None:
     """Write the plmap v1 format; the loader round-trips it bit-identically."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# plmap v1 dims={plmap.ndim} power_mW={float(plmap.power)!r}\n")
-        for name, axis in zip(_AXIS_NAMES, plmap.axes):
-            values = " ".join(repr(float(v)) for v in axis)
-            fh.write(f"# axis {name}: {len(axis)} {values}\n")
-        flat = plmap.counts.ravel(order="C")
-        per_row = len(plmap.axes[-1])
-        for start in range(0, flat.size, per_row):
-            fh.write(" ".join(repr(float(v)) for v in flat[start:start + per_row]) + "\n")
+    header = [f"# plmap v1 dims={plmap.ndim} power_mW={float(plmap.power)!r}"]
+    for name, axis in zip(_AXIS_NAMES, plmap.axes):
+        values = " ".join(repr(float(v)) for v in axis)
+        header.append(f"# axis {name}: {len(axis)} {values}")
+    write_table(path, header, plmap.counts.reshape(-1, len(plmap.axes[-1])))
 
 
 def load_map(path) -> PLMap:
     """Parse the plmap v1 format, reporting offending line numbers."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
-    if not lines:
-        raise MapFormatError(f"{path}:1: empty file")
-
-    header = lines[0].split()
-    if header[:3] != ["#", "plmap", "v1"] or len(header) != 5:
-        raise MapFormatError(f"{path}:1: malformed plmap header: {lines[0].strip()!r}")
+    dims, power = parse_header(path, lines[0] if lines else "", "plmap",
+                               ("dims", "power_mW"), MapFormatError)
     try:
-        dims = int(header[3].split("=", 1)[1])
-        power = float(header[4].split("=", 1)[1])
-    except (IndexError, ValueError):
+        dims, power = int(dims), float(power)
+    except ValueError:
         raise MapFormatError(f"{path}:1: malformed dims/power fields") from None
     if dims not in (2, 3):
         raise MapFormatError(f"{path}:1: dims must be 2 or 3, got {dims}")
@@ -264,25 +262,9 @@ def load_map(path) -> PLMap:
                 f"{path}:{lineno}: axis {_AXIS_NAMES[k]} is not strictly increasing")
         axes.append(values)
 
-    per_row = len(axes[-1])
-    rows = []
-    for lineno in range(dims + 2, len(lines) + 1):
-        line = lines[lineno - 1]
-        if not line.strip():
-            continue
-        cols = line.split()
-        if len(cols) != per_row:
-            raise MapFormatError(
-                f"{path}:{lineno}: ragged row, expected {per_row} values, got {len(cols)}")
-        try:
-            rows.append([float(c) for c in cols])
-        except ValueError:
-            raise MapFormatError(f"{path}:{lineno}: non-numeric count value") from None
-
-    flat = np.array(rows).ravel()
+    data = parse_rows(path, lines[dims + 1:], dims + 2, len(axes[-1]), MapFormatError)
     shape = tuple(len(a) for a in axes)
-    if flat.size != int(np.prod(shape)):
+    if data.size != int(np.prod(shape)):
         raise MapFormatError(
-            f"{path}: expected {int(np.prod(shape))} count values, got {flat.size}")
-    counts = flat.reshape(shape, order="C")
-    return PLMap(axes=tuple(axes), counts=counts, power=power)
+            f"{path}: expected {int(np.prod(shape))} count values, got {data.size}")
+    return PLMap(axes=tuple(axes), counts=data.reshape(shape), power=power)

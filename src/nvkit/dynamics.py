@@ -31,6 +31,7 @@ from .spin_model import (
     transition_lines,
     _embed,
 )
+from .tables import read_table, write_table
 
 READOUT_CONTRAST_SINGLE = 0.2
 READOUT_CONTRAST_ENSEMBLE = 0.033
@@ -596,33 +597,11 @@ def extract_frequencies(curve: DecayCurve, max_components: int):
 
 def save_curve(path, curve: DecayCurve) -> None:
     """Write `# decay v1 kind=<rabi|fid|hahn|t1>` plus time/signal/sigma rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# decay v1 kind={curve.kind}\n")
-        for t, s, e in zip(curve.times, curve.signal, curve.sigma):
-            fh.write(f"{float(t)!r} {float(s)!r} {float(e)!r}\n")
+    write_table(path, [f"# decay v1 kind={curve.kind}"],
+                np.column_stack((curve.times, curve.signal, curve.sigma)))
 
 
 def load_curve(path) -> DecayCurve:
     """Read the decay-curve format written by :func:`save_curve`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        parts = header.split()
-        if parts[:3] != ["#", "decay", "v1"] or len(parts) != 4 or \
-                not parts[3].startswith("kind="):
-            raise DynamicsError(f"{path}:1: malformed decay header: {header!r}")
-        kind = parts[3].split("=", 1)[1]
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            cols = line.split()
-            if len(cols) != 3:
-                raise DynamicsError(f"{path}:{lineno}: expected 3 columns, got {len(cols)}")
-            try:
-                rows.append([float(c) for c in cols])
-            except ValueError:
-                raise DynamicsError(f"{path}:{lineno}: non-numeric value") from None
-    if not rows:
-        raise DynamicsError(f"{path}: no data rows")
-    data = np.array(rows)
+    (kind,), data = read_table(path, "decay", ("kind",), 3, DynamicsError)
     return DecayCurve(times=data[:, 0], signal=data[:, 1], sigma=data[:, 2], kind=kind)

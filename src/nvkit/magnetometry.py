@@ -58,8 +58,10 @@ class SensitivityReport:
 def sensitivity_si(count_rate_hz: float, contrast: float, readout_s: float,
                    t2_star_s: float, t2_s: float) -> tuple[float, float]:
     """Core formula in SI units; returns (eta_dc, eta_ac) in T/sqrt(Hz)."""
-    if min(count_rate_hz, contrast, readout_s, t2_star_s, t2_s) <= 0:
-        raise MagnetometryError("all sensor parameters must be positive")
+    for name, value in zip(("count_rate_hz", "contrast", "readout_s", "t2_star_s", "t2_s"),
+                           (count_rate_hz, contrast, readout_s, t2_star_s, t2_s)):
+        if not (math.isfinite(value) and value > 0):
+            raise MagnetometryError(f"{name} must be finite and positive, got {value!r}")
     prefactor = HBAR_J_S / (G_LANDE * MU_B_J_PER_T)
     eta_dc = prefactor / (contrast * (count_rate_hz * readout_s) ** 0.5) \
         / t2_star_s ** 0.5

@@ -21,6 +21,7 @@ from .spin_model import (
     orientation_variants,
     transition_lines,
 )
+from .tables import read_table, write_table
 
 CW_FWHM_MHZ = 8.0
 PULSED_FWHM_MHZ = 0.7
@@ -306,33 +307,11 @@ def invert_shift_splitting(v_minus: float, v_plus: float, d: float):
 
 def save_spectrum(path, spectrum: OdmrSpectrum) -> None:
     """Write `# odmr v1 mode=<cw|pulsed>` followed by freq/signal/sigma rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# odmr v1 mode={spectrum.mode}\n")
-        for f, s, e in zip(spectrum.freqs, spectrum.signal, spectrum.sigma):
-            fh.write(f"{float(f)!r} {float(s)!r} {float(e)!r}\n")
+    write_table(path, [f"# odmr v1 mode={spectrum.mode}"],
+                np.column_stack((spectrum.freqs, spectrum.signal, spectrum.sigma)))
 
 
 def load_spectrum(path) -> OdmrSpectrum:
     """Read the spectrum format written by :func:`save_spectrum`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        parts = header.split()
-        if parts[:3] != ["#", "odmr", "v1"] or len(parts) != 4 or \
-                not parts[3].startswith("mode="):
-            raise OdmrError(f"{path}:1: malformed odmr header: {header!r}")
-        mode = parts[3].split("=", 1)[1]
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            cols = line.split()
-            if len(cols) != 3:
-                raise OdmrError(f"{path}:{lineno}: expected 3 columns, got {len(cols)}")
-            try:
-                rows.append([float(c) for c in cols])
-            except ValueError:
-                raise OdmrError(f"{path}:{lineno}: non-numeric value") from None
-    if not rows:
-        raise OdmrError(f"{path}: no data rows")
-    data = np.array(rows)
+    (mode,), data = read_table(path, "odmr", ("mode",), 3, OdmrError)
     return OdmrSpectrum(freqs=data[:, 0], signal=data[:, 1], sigma=data[:, 2], mode=mode)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .fitting import FitError, levenberg_marquardt
 from .noise import NoiseSpec, apply_noise
+from .tables import read_table, write_table
 
 TAU_BOUNDS_NS = (0.01, 1e4)
 AMPLITUDE_BOUNDS = (0.0, 5.0)
@@ -40,8 +41,11 @@ class G2Curve:
         sigma = np.asarray(self.sigma, dtype=float)
         if not (len(taus) == len(g2) == len(sigma)):
             raise PhotonStatsError("taus, g2 and sigma must have equal length")
-        if not np.all(np.isfinite(g2)):
-            raise PhotonStatsError("g2 values must be finite")
+        if len(taus) == 0:
+            raise PhotonStatsError("g2 curve needs at least one point")
+        for name, values in (("taus", taus), ("g2", g2), ("sigma", sigma)):
+            if not np.all(np.isfinite(values)):
+                raise PhotonStatsError(f"{name} values must be finite")
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "g2", g2)
         object.__setattr__(self, "sigma", sigma)
@@ -268,50 +272,16 @@ def fit_saturation(powers, counts) -> SaturationFit:
 
 def save_g2(path, curve: G2Curve) -> None:
     """Write `# g2 v1` followed by tau/g2/sigma rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# g2 v1\n")
-        for t, g, e in zip(curve.taus, curve.g2, curve.sigma):
-            fh.write(f"{float(t)!r} {float(g)!r} {float(e)!r}\n")
+    write_table(path, ["# g2 v1"], np.column_stack((curve.taus, curve.g2, curve.sigma)))
 
 
 def load_g2(path) -> G2Curve:
     """Read the correlation format written by :func:`save_g2`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header.split() != ["#", "g2", "v1"]:
-            raise PhotonStatsError(f"{path}:1: malformed g2 header: {header!r}")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            cols = line.split()
-            if len(cols) != 3:
-                raise PhotonStatsError(f"{path}:{lineno}: expected 3 columns, got {len(cols)}")
-            try:
-                rows.append([float(c) for c in cols])
-            except ValueError:
-                raise PhotonStatsError(f"{path}:{lineno}: non-numeric value") from None
-    if not rows:
-        raise PhotonStatsError(f"{path}: no data rows")
-    data = np.array(rows)
+    _, data = read_table(path, "g2", (), 3, PhotonStatsError)
     return G2Curve(taus=data[:, 0], g2=data[:, 1], sigma=data[:, 2])
 
 
 def load_saturation(path):
     """Read rows of `power_mW counts_per_s`; returns (powers, counts)."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            cols = line.split()
-            if len(cols) != 2:
-                raise PhotonStatsError(f"{path}:{lineno}: expected 2 columns, got {len(cols)}")
-            try:
-                rows.append([float(c) for c in cols])
-            except ValueError:
-                raise PhotonStatsError(f"{path}:{lineno}: non-numeric value") from None
-    if not rows:
-        raise PhotonStatsError(f"{path}: no data rows")
-    data = np.array(rows)
+    _, data = read_table(path, None, (), 2, PhotonStatsError)
     return data[:, 0], data[:, 1]

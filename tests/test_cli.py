@@ -163,6 +163,19 @@ def test_sensitivity_nonfinite_count_rate_exits_1(count_rate):
     assert "# nvkit v1" not in result.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ["density", "--c-ens", "nan", "--c-single", "7.7e3"],
+    ["density", "--c-ens", "inf", "--c-single", "7.7e3"],
+    ["density", "--c-ens", "9.28e6", "--c-single", "7.7e3", "--psf", "nan,0.45,2.0"],
+    ["enhance", "--region-a", "nan", "--region-b", "1"],
+])
+def test_confocal_nonfinite_input_exits_1(argv):
+    result = run_cli(argv)
+    assert result.returncode == 1
+    assert "must be finite" in result.stderr
+    assert "# nvkit v1" not in result.stdout
+
+
 def test_sat_fit_negative_counts_exits_1(tmp_path):
     path = tmp_path / "sat.txt"
     path.write_text("0.5 -100\n1 -150\n2 -200\n4 -230\n")

@@ -87,6 +87,16 @@ def test_density_rejects_bad_rates():
         estimate_density(1e6, 0.0, PSF)
     with pytest.raises(ConfocalError):
         estimate_density(-1.0, 1e3, PSF)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfocalError, match="c_ensemble"):
+            estimate_density(bad, 1e3, PSF)
+        with pytest.raises(ConfocalError, match="c_single"):
+            estimate_density(1e6, bad, PSF)
+        for field in ("w_x", "w_y", "w_z"):
+            widths = dict(w_x=0.45, w_y=0.45, w_z=2.0)
+            widths[field] = bad
+            with pytest.raises(ConfocalError, match=field):
+                PsfModel(**widths)
 
 
 @settings(max_examples=100, deadline=None)
@@ -101,6 +111,11 @@ def test_enhancement_ratio():
     assert enhancement_ratio(5.0, 5.0) == 1.0
     with pytest.raises(ConfocalError):
         enhancement_ratio(1.0, 0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfocalError, match="region_a"):
+            enhancement_ratio(bad, 1.0)
+        with pytest.raises(ConfocalError, match="region_b"):
+            enhancement_ratio(1.0, bad)
 
 
 def test_enhancement_consistent_with_density_linearity():
@@ -150,6 +165,24 @@ def test_slice_fit_baseline_shift_invariance():
     assert fit_b.baseline - fit_a.baseline == pytest.approx(300.0, rel=1e-3)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("counts", float("nan")), ("counts", float("inf")),
+    ("power", float("nan")), ("power", float("inf")),
+    ("axis", float("inf")),
+])
+def test_plmap_rejects_nonfinite_values(field, bad):
+    x = np.linspace(0.0, 1.0, 4)
+    axes, counts, power = [x, x.copy()], np.ones((4, 4)), 0.3
+    if field == "counts":
+        counts[1, 2] = bad
+    elif field == "power":
+        power = bad
+    else:
+        axes[1][-1] = bad
+    with pytest.raises(ConfocalError, match=field):
+        PLMap(axes=tuple(axes), counts=counts, power=power)
+
+
 def test_slice_fit_flat_slice_rejected():
     x = np.linspace(0.0, 1.0, 10)
     plmap = PLMap(axes=(x, x), counts=np.ones((10, 10)), power=1.0)
@@ -178,13 +211,21 @@ def test_map_roundtrip_bit_identical(tmp_path):
     assert all(np.array_equal(a, b) for a, b in zip(back.axes, plmap.axes))
     assert np.array_equal(back.counts, plmap.counts)
 
+    save_map(path, PLMap(axes=([0.0, 0.5], [-1.0, 1.0, 2.0]),
+                         counts=[[1.0, 2.5, 3.0], [4.0, 0.0, 1e-07]], power=0.3))
+    assert path.read_text() == ("# plmap v1 dims=2 power_mW=0.3\n"
+                                "# axis x: 2 0.0 0.5\n"
+                                "# axis y: 3 -1.0 1.0 2.0\n"
+                                "1.0 2.5 3.0\n4.0 0.0 1e-07\n")
+    assert load_map(path).counts[1, 2] == 1e-7
+
 
 def test_map_small_2x2(tmp_path):
     path = tmp_path / "tiny.txt"
     path.write_text("# plmap v1 dims=2 power_mW=0.3\n"
                     "# axis x: 2 0.0 1.0\n"
                     "# axis y: 2 0.0 1.0\n"
-                    "1.0 2.0\n3.0 4.0\n")
+                    "1.0 2.0\n# comment\n\n3.0 4.0\n")
     plmap = load_map(path)
     assert plmap.counts.shape == (2, 2)
     assert plmap.counts[1, 0] == 3.0
@@ -214,4 +255,10 @@ def test_map_ragged_row_error(tmp_path):
                     "# axis y: 2 0.0 1.0\n"
                     "1.0 2.0\n3.0\n")
     with pytest.raises(MapFormatError, match=":5:"):
+        load_map(bad)
+    bad.write_text("# plmap v1 dims=2 power_mW=0.3\n"
+                    "# axis x: 2 0.0 1.0\n"
+                    "# axis y: 2 0.0 1.0\n"
+                    "1.0 2.0\n3.0 nan\n")
+    with pytest.raises(MapFormatError, match=":5: non-finite"):
         load_map(bad)

@@ -395,6 +395,15 @@ def test_curve_file_roundtrip(tmp_path):
     assert np.array_equal(back.times, curve.times)
     assert np.array_equal(back.signal, curve.signal)
 
+    golden = ("# decay v1 kind=hahn\n"
+              "0.0 1.0 0.02\n0.25 0.8 0.02\n0.5 0.6 0.02\n0.75 0.45 0.02\n"
+              "1.0 0.3 0.02\n1.25 0.2 0.02\n1.5 0.1 0.02\n1.75 -0.05 0.02\n")
+    save_curve(path, DecayCurve(0.25 * np.arange(8),
+                                [1.0, 0.8, 0.6, 0.45, 0.3, 0.2, 0.1, -0.05],
+                                np.full(8, 0.02), kind="hahn"))
+    assert path.read_text() == golden
+    assert load_curve(path).signal[-1] == -0.05
+
 
 def test_curve_file_errors(tmp_path):
     bad = tmp_path / "bad.txt"

@@ -89,3 +89,9 @@ def test_nonfinite_parameters_rejected_by_name(name, value):
     fields[name] = value
     with pytest.raises(MagnetometryError, match=name):
         SensorParams(**fields)
+    si_names = ["count_rate_hz", "contrast", "readout_s", "t2_star_s", "t2_s"]
+    si_args = [30e3, 0.2, 0.5e-6, 1.76e-6, 494e-6]
+    position = list(fields).index(name)
+    si_args[position] = value
+    with pytest.raises(MagnetometryError, match=f"^{si_names[position]} "):
+        sensitivity_si(*si_args)

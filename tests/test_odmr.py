@@ -176,6 +176,15 @@ def test_spectrum_file_roundtrip(tmp_path):
     assert np.array_equal(back.signal, spec.signal)
     assert np.array_equal(back.sigma, spec.sigma)
 
+    golden = ("# odmr v1 mode=cw\n"
+              "2870.0 1.0 0.01\n2870.5 0.9 0.01\n2871.0 0.75 0.01\n2871.5 0.5 0.01\n"
+              "2872.0 0.5 1e-05\n2872.5 0.75 0.01\n2873.0 0.9 0.01\n2873.5 1.0 0.01\n")
+    save_spectrum(path, OdmrSpectrum(2870.0 + 0.5 * np.arange(8),
+                                     [1.0, 0.9, 0.75, 0.5, 0.5, 0.75, 0.9, 1.0],
+                                     [0.01] * 4 + [1e-5] + [0.01] * 3, "cw"))
+    assert path.read_text() == golden
+    assert load_spectrum(path).sigma[4] == 1e-5
+
 
 def test_spectrum_file_errors(tmp_path):
     bad_header = tmp_path / "bad.txt"

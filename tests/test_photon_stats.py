@@ -103,6 +103,19 @@ def test_fit_noisy_flat_curve_amplitudes_within_error():
         assert abs(amp) <= max(3.0 * err, 0.1)
 
 
+@pytest.mark.parametrize("field", ["taus", "g2", "sigma"])
+def test_g2_curve_rejects_nonfinite_values(field):
+    columns = dict(taus=np.linspace(-5.0, 5.0, 20), g2=np.ones(20), sigma=np.full(20, 0.01))
+    columns[field][3] = np.nan
+    with pytest.raises(PhotonStatsError, match=field):
+        G2Curve(**columns)
+
+
+def test_g2_curve_rejects_empty():
+    with pytest.raises(PhotonStatsError):
+        G2Curve([], [], [])
+
+
 def test_fit_requires_enough_points():
     taus = np.linspace(-5.0, 5.0, 10)
     with pytest.raises(PhotonStatsError):
@@ -194,6 +207,10 @@ def test_g2_file_roundtrip(tmp_path):
     assert np.array_equal(back.taus, curve.taus)
     assert np.array_equal(back.g2, curve.g2)
 
+    save_g2(path, G2Curve([-1.5, 0.0, 2.0], [1.1, 0.197, 1.0], [0.02, 0.02, 0.025]))
+    assert path.read_text() == "# g2 v1\n-1.5 1.1 0.02\n0.0 0.197 0.02\n2.0 1.0 0.025\n"
+    assert np.array_equal(load_g2(path).g2, [1.1, 0.197, 1.0])
+
 
 def test_g2_file_header_error(tmp_path):
     path = tmp_path / "bad.txt"
@@ -210,4 +227,7 @@ def test_saturation_file(tmp_path):
     bad = tmp_path / "sat_bad.txt"
     bad.write_text("0.1 3000\n0.3\n")
     with pytest.raises(PhotonStatsError, match=":2:"):
+        load_saturation(bad)
+    bad.write_text("0.1 3000\n\n0.3 nan\n")
+    with pytest.raises(PhotonStatsError, match=":3: non-finite"):
         load_saturation(bad)
