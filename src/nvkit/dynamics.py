@@ -3,8 +3,11 @@
 Sequences run in the frame rotating at the microwave drive frequency; the
 counter-rotating terms are dropped (valid for drive strengths far below the
 2.87 GHz transition scale, in practice rabi_freq <= 20 MHz). Propagation
-uses exact matrix exponentials of each piecewise-constant Hamiltonian via
-one LAPACK Hermitian eigensolve per segment, so there is no step-size error.
+uses exact matrix exponentials of each piecewise-constant Hamiltonian, so
+there is no step-size error. Free evolution is diagonal in the rotating
+frame's basis and needs no eigensolve; each distinct pulse Hamiltonian of a
+sequence takes one LAPACK Hermitian eigensolve, shared by every pulse that
+has its Rabi frequency and phase.
 
 Decoherence is phenomenological: envelopes multiply coherences. The
 closed-form trace models (FID, Hahn echo, relaxometry) carry stretched
@@ -14,7 +17,7 @@ plain exponentials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -26,10 +29,8 @@ from .spin_model import (
     SpinSystem,
     build_hamiltonian,
     eigenlevels,
-    ms0_projector,
-    spin_operators,
     transition_lines,
-    _embed,
+    _operators,
 )
 from .tables import read_table, write_table
 
@@ -44,11 +45,25 @@ class DynamicsError(ValueError):
 # ---------------------------------------------------------------------------
 # sequence elements
 
+def _check_fields(obj) -> None:
+    """Reject a non-finite field, or a negative duration or window, by name."""
+    kind = type(obj).__name__
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not np.isfinite(value):
+            raise DynamicsError(f"{kind} {f.name} must be finite, got {value!r}")
+        if f.name in ("duration", "window") and value < 0:
+            raise DynamicsError(f"{kind} {f.name} must be nonnegative, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LaserInit:
     """Optical pumping into ms=0 (ideal polarization)."""
 
     duration: float = 1.0  # us
+
+    def __post_init__(self):
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -64,6 +79,9 @@ class MwPulse:
     phase: float = 0.0
     duration: float = 0.0  # us
 
+    def __post_init__(self):
+        _check_fields(self)
+
 
 @dataclass(frozen=True)
 class Wait:
@@ -71,12 +89,18 @@ class Wait:
 
     duration: float  # us
 
+    def __post_init__(self):
+        _check_fields(self)
+
 
 @dataclass(frozen=True)
 class Readout:
     """PL readout window mapping ms=0 population to signal."""
 
     window: float = 0.5  # us
+
+    def __post_init__(self):
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -101,10 +125,6 @@ class PulseSequence:
         freqs = {e.freq for e in elements if isinstance(e, MwPulse)}
         if len(freqs) > 1:
             raise DynamicsError("all MwPulse elements must share one frequency")
-        for e in elements:
-            dur = getattr(e, "duration", getattr(e, "window", 0.0))
-            if dur < 0:
-                raise DynamicsError("element durations must be nonnegative")
         object.__setattr__(self, "elements", elements)
 
     @property
@@ -125,6 +145,7 @@ class CoherenceParams:
     t_rho_rabi: float
 
     def __post_init__(self):
+        _check_fields(self)
         if min(self.t1, self.t2, self.t2_star, self.t_rho_rabi) <= 0:
             raise DynamicsError("coherence times must be positive")
         if not (self.t2_star <= self.t2 <= 2.0 * self.t1 * 1000.0):
@@ -148,8 +169,8 @@ class DecayCurve:
             raise DynamicsError("times, signal and sigma must have equal length")
         if len(times) < 8:
             raise DynamicsError("decay curve needs at least 8 points")
-        if not np.all(np.diff(times) > 0):
-            raise DynamicsError("times must be strictly increasing")
+        if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+            raise DynamicsError("times must be finite and strictly increasing")
         if not (np.all(np.isfinite(signal)) and np.all(np.isfinite(sigma))):
             raise DynamicsError("signal and sigma must be finite")
         if self.kind not in ("rabi", "fid", "hahn", "t1"):
@@ -207,19 +228,15 @@ class _RotatingFrame:
     """
 
     def __init__(self, system: SpinSystem, env: FieldEnvironment, drive_freq: float):
-        dims = [3] + [nuc.dimension for nuc in system.nuclei]
-        el = spin_operators(3)
-        h0 = build_hamiltonian(system, env)
-        self.evals, self.evecs = eigenlevels(h0)
-        sz2 = _embed(el.sz @ el.sz, 0, dims)
-        sectors = np.round(np.diag(self.evecs.conj().T @ sz2 @ self.evecs).real)
+        ops = _operators(system)
+        self.evals, self.evecs = eigenlevels(build_hamiltonian(system, env))
+        sectors = np.round(np.diag(self.evecs.conj().T @ ops.sz2 @ self.evecs).real)
         self.sectors = np.clip(sectors, 0.0, 1.0)
         self.frame_energies = self.evals - drive_freq * self.sectors
-        self.sx = self.evecs.conj().T @ _embed(el.sx, 0, dims) @ self.evecs
-        self.sy = self.evecs.conj().T @ _embed(el.sy, 0, dims) @ self.evecs
+        self.sx = self.evecs.conj().T @ ops.sx @ self.evecs
+        self.sy = self.evecs.conj().T @ ops.sy @ self.evecs
         self.cross = np.abs(self.sectors[:, None] - self.sectors[None, :]) > 0.5
-        p0 = ms0_projector(system)
-        self.p0 = self.evecs.conj().T @ p0 @ self.evecs
+        self.p0 = self.evecs.conj().T @ ops.p0 @ self.evecs
 
     def initial_state(self) -> np.ndarray:
         return self.p0.astype(complex) / np.trace(self.p0).real
@@ -236,22 +253,25 @@ class _RotatingFrame:
         return float(np.trace(rho @ self.p0).real)
 
 
-def _evolve(rho, h, duration, t_coh, t1_us):
-    """Evolve ``rho`` for ``duration`` under ``h`` in the eigenbasis of ``h``.
+def _evolve(rho, eigensystem, duration, t_coh, t1_us):
+    """Evolve ``rho`` for ``duration`` in the eigenbasis of the segment Hamiltonian.
 
+    ``eigensystem`` is its ``(evals, evecs)``; ``evecs`` None means the
+    Hamiltonian is diagonal in the frame basis, as for free evolution.
     Coherences between eigenstates pick up their phases and decay with
     ``t_coh``; populations relax towards the mixed state with ``t1_us``.
     """
-    evals, evecs = eigenlevels(h)
+    evals, evecs = eigensystem
     phases = np.exp(-2j * np.pi * evals * duration)
     n = len(evals)
     damp = np.full((n, n), np.exp(-duration / t_coh))
     np.fill_diagonal(damp, 1.0)
-    rho_e = (evecs.conj().T @ rho @ evecs) * np.outer(phases, phases.conj()) * damp
+    rho_e = rho if evecs is None else evecs.conj().T @ rho @ evecs
+    rho_e = rho_e * np.outer(phases, phases.conj()) * damp
     if np.isfinite(t1_us):
         mixed, relax = 1.0 / n, np.exp(-duration / t1_us)
         np.fill_diagonal(rho_e, mixed + (np.diag(rho_e).real - mixed) * relax)
-    return evecs @ rho_e @ evecs.conj().T
+    return rho_e if evecs is None else evecs @ rho_e @ evecs.conj().T
 
 
 def propagate_sequence(
@@ -269,7 +289,10 @@ def propagate_sequence(
     evolution is purely unitary.
     """
     frame = _RotatingFrame(system, env, seq.drive_freq)
-    h_free = frame.hamiltonian(0.0, 0.0)
+    # frame.hamiltonian(0, 0) is diag(frame_energies); the sequence has one
+    # drive frequency, so (rabi_freq, phase) fixes each pulse Hamiltonian
+    free = (frame.frame_energies, None)
+    pulses = {}
     if coh is None:
         t_rabi = t_free = t1_us = np.inf
     else:
@@ -284,11 +307,13 @@ def propagate_sequence(
             rho = frame.initial_state()
             t_elapsed += element.duration
         elif isinstance(element, MwPulse):
-            h = frame.hamiltonian(element.rabi_freq, element.phase)
-            rho = _evolve(rho, h, element.duration, t_rabi, t1_us)
+            key = (element.rabi_freq, element.phase)
+            if key not in pulses:
+                pulses[key] = eigenlevels(frame.hamiltonian(*key))
+            rho = _evolve(rho, pulses[key], element.duration, t_rabi, t1_us)
             t_elapsed += element.duration
         elif isinstance(element, Wait):
-            rho = _evolve(rho, h_free, element.duration, t_free, t1_us)
+            rho = _evolve(rho, free, element.duration, t_free, t1_us)
             t_elapsed += element.duration
         else:  # Readout
             population = frame.ms0_population(rho)

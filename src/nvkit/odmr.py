@@ -48,8 +48,8 @@ class OdmrSpectrum:
             raise OdmrError("freqs, signal and sigma must have equal length")
         if len(freqs) < 8:
             raise OdmrError("spectrum needs at least 8 points")
-        if not np.all(np.diff(freqs) > 0):
-            raise OdmrError("frequency grid must be strictly increasing")
+        if not (np.all(np.isfinite(freqs)) and np.all(np.diff(freqs) > 0)):
+            raise OdmrError("frequency grid must be finite and strictly increasing")
         if not (np.all(np.isfinite(signal)) and np.all(np.isfinite(sigma))):
             raise OdmrError("signal and sigma must be finite")
         if self.mode not in ("cw", "pulsed"):

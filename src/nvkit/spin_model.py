@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +38,11 @@ MAX_DIMENSION = 18
 
 class SpinModelError(ValueError):
     """Invalid spin-system input (dimension overflow, bad field, ...)."""
+
+
+def _require_finite(name: str, value) -> None:
+    if not np.all(np.isfinite(value)):
+        raise SpinModelError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +87,10 @@ class HyperfineCoupling:
     a_parallel: float
     a_perp: float = 0.0
 
+    def __post_init__(self):
+        _require_finite("hyperfine a_parallel", self.a_parallel)
+        _require_finite("hyperfine a_perp", self.a_perp)
+
     @property
     def dimension(self) -> int:
         return _NUCLEAR_DIM[self.species]
@@ -104,8 +114,13 @@ class NvOrientation:
 
     def __post_init__(self):
         axis = np.asarray(self.axis, dtype=float)
+        if axis.shape != (3,):
+            raise SpinModelError(f"NV axis must be a 3-vector, got shape {axis.shape}")
+        _require_finite("NV axis", axis)
         norm = np.linalg.norm(axis)
-        if not np.isfinite(norm) or abs(norm - 1.0) > 1e-12:
+        if not 0.0 < norm < np.inf:
+            raise SpinModelError(f"NV axis must have a finite nonzero norm, got {norm}")
+        if abs(norm - 1.0) > 1e-12:
             axis = axis / norm
         object.__setattr__(self, "axis", axis)
 
@@ -132,8 +147,8 @@ class FieldEnvironment:
         b = np.asarray(self.b_lab, dtype=float)
         if b.shape != (3,) or not np.all(np.isfinite(b)):
             raise SpinModelError("b_lab must be a finite 3-vector in mT")
-        if not (np.isfinite(self.shift_xi) and np.isfinite(self.splitting_delta)):
-            raise SpinModelError("shift and splitting must be finite")
+        _require_finite("shift_xi", self.shift_xi)
+        _require_finite("splitting_delta", self.splitting_delta)
         object.__setattr__(self, "b_lab", b)
 
 
@@ -147,6 +162,8 @@ class SpinSystem:
     orientation: NvOrientation = field(default_factory=lambda: NvOrientation(NV_AXES[0]))
 
     def __post_init__(self):
+        _require_finite("d_zfs", self.d_zfs)
+        _require_finite("gamma_e", self.gamma_e)
         if self.d_zfs <= 0:
             raise SpinModelError("zero-field splitting must be positive")
         object.__setattr__(self, "nuclei", tuple(self.nuclei))
@@ -204,7 +221,7 @@ def project_field(b_lab, orientations=None):
     return out
 
 
-def _embed(op: np.ndarray, slot: int, dims: list[int]) -> np.ndarray:
+def _embed(op: np.ndarray, slot: int, dims: tuple[int, ...]) -> np.ndarray:
     """Tensor ``op`` (acting on subsystem ``slot``) into the full space."""
     full = np.array([[1.0 + 0.0j]])
     for k, d in enumerate(dims):
@@ -213,38 +230,55 @@ def _embed(op: np.ndarray, slot: int, dims: list[int]) -> np.ndarray:
     return full
 
 
+@dataclass(frozen=True)
+class _Operators:
+    """Full-space operators of one Hilbert space, shared and read-only."""
+
+    sx: np.ndarray
+    sy: np.ndarray
+    sz: np.ndarray
+    sz2: np.ndarray
+    sx2_minus_sy2: np.ndarray
+    p0: np.ndarray            # electron ms=0 projector
+    hyperfine: tuple          # (Sz Iz, Sx Ix + Sy Iy) per nucleus
+
+
+@lru_cache(maxsize=None)  # SpinSystem admits at most six dims tuples
+def _build_operators(dims: tuple[int, ...]) -> _Operators:
+    el = spin_operators(3)
+    sx, sy, sz = (_embed(op, 0, dims) for op in (el.sx, el.sy, el.sz))
+    hyperfine = []
+    for k, d in enumerate(dims[1:], start=1):
+        nuc = spin_operators(d)
+        ix, iy, iz = (_embed(op, k, dims) for op in (nuc.sx, nuc.sy, nuc.sz))
+        hyperfine.append((sz @ iz, sx @ ix + sy @ iy))
+    p0 = _embed(np.diag([0.0, 1.0, 0.0]).astype(complex), 0, dims)  # basis (+1, 0, -1)
+    arrays = [sx, sy, sz, sz @ sz, sx @ sx - sy @ sy, p0]
+    for a in arrays + [op for pair in hyperfine for op in pair]:
+        a.flags.writeable = False
+    return _Operators(*arrays, tuple(hyperfine))
+
+
+def _operators(system: SpinSystem) -> _Operators:
+    return _build_operators((3, *(nuc.dimension for nuc in system.nuclei)))
+
+
 def build_hamiltonian(system: SpinSystem, env: FieldEnvironment) -> HamiltonianMatrix:
     """Full spin Hamiltonian in the NV frame of ``system.orientation``.
 
     The lab field is projected onto the NV axis; the transverse component
     is placed along the NV-frame x axis (azimuthal phase is unobservable
-    for the terms modeled here).
+    for the terms modeled here). The returned matrix is a fresh array.
     """
-    dims = [3] + [nuc.dimension for nuc in system.nuclei]
-    dim = int(np.prod(dims))
-    if dim > MAX_DIMENSION:
-        raise SpinModelError(f"Hilbert dimension {dim} exceeds {MAX_DIMENSION}")
-
-    el = spin_operators(3)
-    sx = _embed(el.sx, 0, dims)
-    sy = _embed(el.sy, 0, dims)
-    sz = _embed(el.sz, 0, dims)
-    sz2 = sz @ sz
-
+    ops = _operators(system)
     axial, transverse = project_field(env.b_lab, [system.orientation])[0]
-    h = (system.d_zfs + env.shift_xi) * sz2
-    h = h + 2.0 * env.splitting_delta * (sx @ sx - sy @ sy)
-    h = h + system.gamma_e * (axial * sz + transverse * sx)
-
-    for k, nuc in enumerate(system.nuclei, start=1):
-        ops = spin_operators(nuc.dimension)
-        ix = _embed(ops.sx, k, dims)
-        iy = _embed(ops.sy, k, dims)
-        iz = _embed(ops.sz, k, dims)
-        h = h + nuc.a_parallel * (sz @ iz)
-        h = h + nuc.a_perp * (sx @ ix + sy @ iy)
-
-    return HamiltonianMatrix(entries=h, dimension=dim)
+    h = (system.d_zfs + env.shift_xi) * ops.sz2
+    h = h + 2.0 * env.splitting_delta * ops.sx2_minus_sy2
+    h = h + system.gamma_e * (axial * ops.sz + transverse * ops.sx)
+    for nuc, (sz_iz, flip_flop) in zip(system.nuclei, ops.hyperfine):
+        h = h + nuc.a_parallel * sz_iz
+        h = h + nuc.a_perp * flip_flop
+    return HamiltonianMatrix(entries=h, dimension=system.dimension)
 
 
 def resonance_frequencies_approx(d: float, xi: float, delta: float):
@@ -270,11 +304,12 @@ def eigenlevels(h: HamiltonianMatrix | np.ndarray):
 
 
 def ms0_projector(system: SpinSystem) -> np.ndarray:
-    """Projector onto the electron ms=0 subspace of the full Hilbert space."""
-    dims = [3] + [nuc.dimension for nuc in system.nuclei]
-    p0 = np.zeros((3, 3), dtype=complex)
-    p0[1, 1] = 1.0  # basis order (+1, 0, -1)
-    return _embed(p0, 0, dims)
+    """Projector onto the electron ms=0 subspace of the full Hilbert space.
+
+    This is the shared read-only array of the system's Hilbert space; copy
+    it before writing to it.
+    """
+    return _operators(system).p0
 
 
 def transition_lines(system: SpinSystem, env: FieldEnvironment, merge_tol: float = 1e-6):
@@ -285,27 +320,22 @@ def transition_lines(system: SpinSystem, env: FieldEnvironment, merge_tol: float
     |Sy_ij|^2; they are normalized to sum to 1. Lines closer than
     ``merge_tol`` (MHz) are merged.
     """
-    h = build_hamiltonian(system, env)
-    evals, evecs = eigenlevels(h)
-    dims = [3] + [nuc.dimension for nuc in system.nuclei]
-    el = spin_operators(3)
-    sx = evecs.conj().T @ _embed(el.sx, 0, dims) @ evecs
-    sy = evecs.conj().T @ _embed(el.sy, 0, dims) @ evecs
-    p0 = evecs.conj().T @ ms0_projector(system) @ evecs
+    ops = _operators(system)
+    evals, evecs = eigenlevels(build_hamiltonian(system, env))
+    sx = evecs.conj().T @ ops.sx @ evecs
+    sy = evecs.conj().T @ ops.sy @ evecs
+    p0 = evecs.conj().T @ ops.p0 @ evecs
     pops = np.diag(p0).real / max(np.trace(p0).real, 1e-300)
 
-    raw = []
-    n = len(evals)
-    for i in range(n):
-        for j in range(i + 1, n):
-            freq = evals[j] - evals[i]
-            strength = (abs(sx[i, j]) ** 2 + abs(sy[i, j]) ** 2) * abs(pops[i] - pops[j])
-            if strength > 1e-9 and freq > merge_tol:
-                raw.append((freq, strength))
-    raw.sort()
+    i, j = np.triu_indices(len(evals), k=1)
+    freqs = evals[j] - evals[i]
+    strengths = (np.abs(sx[i, j]) ** 2 + np.abs(sy[i, j]) ** 2) * np.abs(pops[i] - pops[j])
+    keep = (strengths > 1e-9) & (freqs > merge_tol)
+    freqs, strengths = freqs[keep], strengths[keep]
+    order = np.lexsort((strengths, freqs))  # by frequency, then strength
 
     merged: list[list[float]] = []
-    for freq, w in raw:
+    for freq, w in zip(freqs[order], strengths[order]):
         if merged and freq - merged[-1][0] <= merge_tol:
             f0, w0 = merged[-1]
             merged[-1] = [(f0 * w0 + freq * w) / (w0 + w), w0 + w]

@@ -78,6 +78,41 @@ def test_negative_coherence_times_rejected():
         CoherenceParams(t1=1.0, t2=0.5, t2_star=1.0, t_rho_rabi=1.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_coherence_params_name_nonfinite_field(value):
+    times = dict(t1=4.5, t2=494.0, t2_star=1.76, t_rho_rabi=4.0)
+    for name in times:
+        with pytest.raises(DynamicsError, match=f"CoherenceParams {name} must be finite"):
+            CoherenceParams(**{**times, name: value})
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda v: LaserInit(v), "duration"),
+    (lambda v: MwPulse(v, 1.0, 0.0, 0.1), "freq"),
+    (lambda v: MwPulse(2870.0, v, 0.0, 0.1), "rabi_freq"),
+    (lambda v: MwPulse(2870.0, 1.0, v, 0.1), "phase"),
+    (lambda v: MwPulse(2870.0, 1.0, 0.0, v), "duration"),
+    (lambda v: Wait(v), "duration"),
+    (lambda v: Readout(v), "window"),
+])
+def test_sequence_elements_reject_bad_fields_by_name(make, name):
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DynamicsError, match=f" {name} must be finite"):
+            make(value)
+    if name in ("duration", "window"):
+        with pytest.raises(DynamicsError, match=f" {name} must be nonnegative"):
+            make(-1.0)
+        make(0.0)
+    else:
+        make(-1.0)  # negative frequencies and phases are allowed
+
+
+def test_decay_curve_rejects_infinite_time():
+    times = np.r_[np.arange(7.0), np.inf]
+    with pytest.raises(DynamicsError, match="times must be finite"):
+        DecayCurve(times, np.ones(8), np.full(8, 0.1))
+
+
 # ---------------------------------------------------------------------------
 # propagation
 
@@ -202,7 +237,7 @@ def test_wait_relaxes_population_with_t1(tau):
                                        abs=1e-12)
 
 
-def test_decoherent_sequence_diagonalizes_each_segment_once(monkeypatch):
+def count_eigensolves(monkeypatch):
     calls = []
 
     def counting_eigenlevels(h):
@@ -210,9 +245,94 @@ def test_decoherent_sequence_diagonalizes_each_segment_once(monkeypatch):
         return eigenlevels(h)
 
     monkeypatch.setattr(dynamics, "eigenlevels", counting_eigenlevels)
+    return calls
+
+
+def test_decoherent_sequence_diagonalizes_each_distinct_hamiltonian_once(monkeypatch):
+    calls = count_eigensolves(monkeypatch)
     system, env, f_low = isolated_two_level()
     propagate_sequence(system, env, ramsey(f_low, 1.0), COH)
-    assert len(calls) == 4  # the rotating frame, then one per segment
+    assert len(calls) == 2  # the rotating frame, then the one pulse Hamiltonian
+
+
+# ---------------------------------------------------------------------------
+# exactness against the per-segment propagator
+
+def spin_case(dim):
+    """(system, field, lower-line drive frequency) for dimension 3, 9 or 18.
+
+    Dimension 3 is the bare spin at zero field, where the frame is degenerate.
+    """
+    nuclei = {3: (), 9: (HyperfineCoupling.nitrogen14(),),
+              18: (HyperfineCoupling.nitrogen14(), HyperfineCoupling.carbon13())}[dim]
+    b_mt = {3: 0.0, 9: 5.2, 18: 8.3333333333}[dim]
+    system = SpinSystem(nuclei=nuclei)
+    drive = system.d_zfs - system.gamma_e * b_mt
+    return system, FieldEnvironment(b_lab=b_mt * AXIS_111), drive
+
+
+def sequence(kind, drive, tau, rabi=8.0):
+    half_pi = 1.0 / (4.0 * rabi)
+
+    def pulse(duration, phase=0.0):
+        return MwPulse(drive, rabi, phase, duration)
+    if kind == "ramsey":
+        body = [pulse(half_pi), Wait(tau), pulse(half_pi)]
+    elif kind == "hahn":
+        body = [pulse(half_pi), Wait(tau), pulse(2 * half_pi), Wait(tau), pulse(half_pi)]
+    else:  # xy8
+        body = [pulse(half_pi), Wait(tau / 2)]
+        for phase in (0, 1, 0, 1, 1, 0, 1, 0):
+            body += [pulse(2 * half_pi, phase * np.pi / 2), Wait(tau)]
+        body[-1] = Wait(tau / 2)
+        body.append(pulse(half_pi))
+    return PulseSequence((LaserInit(1.0), *body, Readout(0.5)))
+
+
+def per_segment_propagate(system, env, seq, coh):
+    """Reference: one eigh of every segment Hamiltonian, waits included."""
+    frame = dynamics._RotatingFrame(system, env, seq.drive_freq)
+    if coh is None:
+        t_rabi = t_free = t1_us = np.inf
+    else:
+        t_rabi, t_free, t1_us = coh.t_rho_rabi, coh.t2_star, coh.t1 * 1000.0
+    rho = frame.initial_state()
+    for e in seq.elements[1:-1]:
+        if isinstance(e, MwPulse):
+            h, t_coh = frame.hamiltonian(e.rabi_freq, e.phase), t_rabi
+        else:
+            h, t_coh = frame.hamiltonian(0.0, 0.0), t_free
+        evals, evecs = np.linalg.eigh(h)
+        phases = np.exp(-2j * np.pi * evals * e.duration)
+        n = len(evals)
+        damp = np.full((n, n), np.exp(-e.duration / t_coh))
+        np.fill_diagonal(damp, 1.0)
+        rho_e = (evecs.conj().T @ rho @ evecs) * np.outer(phases, phases.conj()) * damp
+        if np.isfinite(t1_us):
+            relax = np.exp(-e.duration / t1_us)
+            np.fill_diagonal(rho_e, 1.0 / n + (np.diag(rho_e).real - 1.0 / n) * relax)
+        rho = evecs @ rho_e @ evecs.conj().T
+    return frame.ms0_population(rho), rho
+
+
+@pytest.mark.parametrize("coh", [None, COH], ids=["unitary", "decoherent"])
+@pytest.mark.parametrize("dim", [3, 9, 18])
+@pytest.mark.parametrize("kind", ["ramsey", "hahn", "xy8"])
+def test_propagate_sequence_matches_per_segment_reference(kind, dim, coh):
+    system, env, drive = spin_case(dim)
+    seq = sequence(kind, drive, 0.73)
+    result, rho = propagate_sequence(system, env, seq, coh, return_state=True)
+    population, rho_ref = per_segment_propagate(system, env, seq, coh)
+    assert abs(result.population - population) < 1e-12
+    assert np.max(np.abs(rho - rho_ref)) < 1e-12
+
+
+def test_xy8_d18_diagonalizes_frame_and_two_pulse_phases(monkeypatch):
+    system, env, drive = spin_case(18)
+    seq = sequence("xy8", drive, 0.6)
+    calls = count_eigensolves(monkeypatch)
+    propagate_sequence(system, env, seq, COH)
+    assert len(calls) == 3  # the rotating frame, then one per pulse phase
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,9 @@ def test_invalid_mode_and_empty_grid():
         synthesize_spectrum(SpinSystem(), FieldEnvironment(), "am", GRID)
     with pytest.raises(OdmrError):
         synthesize_spectrum(SpinSystem(), FieldEnvironment(), "cw", np.array([]))
+    inf_grid = np.r_[2860.0 + np.arange(7.0), np.inf]
+    with pytest.raises(OdmrError, match="grid must be finite"):
+        OdmrSpectrum(inf_grid, np.ones(8), np.ones(8))
 
 
 def test_ensemble_equals_orientation_average():

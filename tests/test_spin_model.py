@@ -1,18 +1,23 @@
 """Spin Hamiltonian construction and diagonalization."""
 
+import warnings
 from itertools import permutations
 
 import numpy as np
 import pytest
 
+from nvkit import spin_model
 from nvkit.constants import GAMMA_E_MHZ_PER_MT
 from nvkit.spin_model import (
     FieldEnvironment,
     HyperfineCoupling,
+    NuclearSpecies,
+    NvOrientation,
     SpinModelError,
     SpinSystem,
     build_hamiltonian,
     eigenlevels,
+    ms0_projector,
     nv_orientations,
     project_field,
     resonance_frequencies_approx,
@@ -181,6 +186,93 @@ def test_dimension_overflow_rejected():
         SpinSystem(nuclei=(HyperfineCoupling.nitrogen14(),
                            HyperfineCoupling.carbon13(),
                            HyperfineCoupling.carbon13()))
+
+
+# every nuclear environment within the dimension-18 limit
+VALID_NUCLEI = [(), ("n",), ("c",), ("n", "c"), ("c", "n"), ("c", "c")]
+
+
+def nuclei_of(codes):
+    return tuple(HyperfineCoupling(NuclearSpecies.N14, -2.16, -2.7) if c == "n"
+                 else HyperfineCoupling(NuclearSpecies.C13, 13.0, 1.4) for c in codes)
+
+
+def kron_hamiltonian(system, env):
+    """Reference: every operator tensored into the full space on each call."""
+    dims = [3] + [nuc.dimension for nuc in system.nuclei]
+
+    def embed(op, slot):
+        full = np.array([[1.0 + 0.0j]])
+        for k, d in enumerate(dims):
+            full = np.kron(full, op if k == slot else np.eye(d, dtype=complex))
+        return full
+
+    el = spin_operators(3)
+    sx, sy, sz = embed(el.sx, 0), embed(el.sy, 0), embed(el.sz, 0)
+    axial, transverse = project_field(env.b_lab, [system.orientation])[0]
+    h = (system.d_zfs + env.shift_xi) * (sz @ sz)
+    h = h + 2.0 * env.splitting_delta * (sx @ sx - sy @ sy)
+    h = h + system.gamma_e * (axial * sz + transverse * sx)
+    for k, nuc in enumerate(system.nuclei, start=1):
+        ops = spin_operators(nuc.dimension)
+        ix, iy, iz = embed(ops.sx, k), embed(ops.sy, k), embed(ops.sz, k)
+        h = h + nuc.a_parallel * (sz @ iz)
+        h = h + nuc.a_perp * (sx @ ix + sy @ iy)
+    return h
+
+
+@pytest.mark.parametrize("codes", VALID_NUCLEI, ids=lambda c: "+".join(c) or "bare")
+def test_build_hamiltonian_equals_kron_reference_exactly(codes):
+    rng = np.random.default_rng(len(codes) * 7 + len("".join(codes)))
+    for orientation in nv_orientations():
+        system = SpinSystem(nuclei=nuclei_of(codes), orientation=orientation)
+        env = FieldEnvironment(b_lab=rng.normal(scale=5.0, size=3),
+                               shift_xi=rng.normal(), splitting_delta=rng.normal())
+        h = build_hamiltonian(system, env).entries
+        assert np.max(np.abs(h - kron_hamiltonian(system, env))) == 0.0
+
+
+@pytest.mark.parametrize("codes", VALID_NUCLEI, ids=lambda c: "+".join(c) or "bare")
+def test_cached_operators_are_read_only(codes):
+    system = SpinSystem(nuclei=nuclei_of(codes))
+    ops = spin_model._operators(system)
+    arrays = [ops.sx, ops.sy, ops.sz, ops.sz2, ops.sx2_minus_sy2, ops.p0,
+              *(op for pair in ops.hyperfine for op in pair)]
+    assert len(ops.hyperfine) == len(codes)
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+    assert ms0_projector(system) is ops.p0
+    with pytest.raises(ValueError):
+        ms0_projector(system)[1, 1] = 0.0
+
+    env = FieldEnvironment(b_lab=np.array([1.0, 2.0, 3.0]))
+    h = build_hamiltonian(system, env).entries
+    before = h.copy()
+    h[0, 0] += 1.0  # a fresh, writable array
+    assert np.array_equal(build_hamiltonian(system, env).entries, before)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_spin_system_rejects_nonfinite_fields_by_name(value):
+    for name in ("d_zfs", "gamma_e"):
+        with pytest.raises(SpinModelError, match=f"{name} must be finite"):
+            SpinSystem(**{name: value})
+    for name in ("a_parallel", "a_perp"):
+        with pytest.raises(SpinModelError, match=f"{name} must be finite"):
+            HyperfineCoupling.nitrogen14(**{name: value})
+    with pytest.raises(SpinModelError, match="NV axis must be finite"):
+        NvOrientation(np.array([value, 0.0, 1.0]))
+
+
+def test_nv_orientation_rejects_zero_and_malformed_axes():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpinModelError, match="nonzero norm"):
+            NvOrientation(np.zeros(3))
+        with pytest.raises(SpinModelError, match="3-vector"):
+            NvOrientation(np.ones(2))
+    assert np.linalg.norm(NvOrientation(np.array([0.0, 0.0, 2.0])).axis) == 1.0
 
 
 def test_hyperfine_preserves_transition_centroid():
