@@ -45,13 +45,17 @@ class DynamicsError(ValueError):
 # ---------------------------------------------------------------------------
 # sequence elements
 
+def _require_finite(name: str, value) -> None:
+    if not np.isfinite(value):
+        raise DynamicsError(f"{name} must be finite, got {value!r}")
+
+
 def _check_fields(obj) -> None:
     """Reject a non-finite field, or a negative duration or window, by name."""
     kind = type(obj).__name__
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if not np.isfinite(value):
-            raise DynamicsError(f"{kind} {f.name} must be finite, got {value!r}")
+        _require_finite(f"{kind} {f.name}", value)
         if f.name in ("duration", "window") and value < 0:
             raise DynamicsError(f"{kind} {f.name} must be nonnegative, got {value!r}")
 
@@ -288,6 +292,7 @@ def propagate_sequence(
     The readout signal is 1 - contrast*(1 - population). Without coh the
     evolution is purely unitary.
     """
+    _require_finite("readout_contrast", readout_contrast)
     frame = _RotatingFrame(system, env, seq.drive_freq)
     # frame.hamiltonian(0, 0) is diag(frame_energies); the sequence has one
     # drive frequency, so (rabi_freq, phase) fixes each pulse Hamiltonian
@@ -342,6 +347,9 @@ def simulate_rabi(
     Shares one eigendecomposition across all durations for speed; the
     optional Rabi dephasing envelope multiplies the oscillating part.
     """
+    for name, value in (("drive_freq", drive_freq), ("rabi_freq", rabi_freq),
+                        ("readout_contrast", readout_contrast)):
+        _require_finite(name, value)
     durations = np.asarray(durations, dtype=float)
     if durations.size == 0:
         raise DynamicsError("empty duration grid")

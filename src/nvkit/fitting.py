@@ -8,6 +8,11 @@ until a downhill step is found or the step collapses.
 Convergence is declared when the relative change of the squared residual
 norm between accepted steps drops below ``rtol`` (default 1e-10) or the
 infinity norm of the gradient J^T r drops below ``gtol`` (default 1e-8).
+
+``odmr.fit_spectrum`` and ``photon_stats.fit_g2`` pass closed-form
+Jacobians. ``dynamics.fit_decay_envelope``, ``dynamics.extract_frequencies``,
+``photon_stats.fit_saturation`` and ``confocal.fit_gaussian_slice`` use
+:func:`numeric_jacobian`, which costs two residual calls per parameter.
 """
 
 from __future__ import annotations

@@ -46,6 +46,8 @@ class G2Curve:
         for name, values in (("taus", taus), ("g2", g2), ("sigma", sigma)):
             if not np.all(np.isfinite(values)):
                 raise PhotonStatsError(f"{name} values must be finite")
+        if np.any(sigma < 0):
+            raise PhotonStatsError("sigma values must be nonnegative")
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "g2", g2)
         object.__setattr__(self, "sigma", sigma)
@@ -175,6 +177,8 @@ def fit_g2(curve: G2Curve, init=None) -> G2FitResult:
 
     Decay times are bounded to [0.01, 1e4] ns and amplitudes to [0, 5];
     the two bunching components are label-ordered by time constant.
+    Residuals are weighted by 1/sigma; a point with sigma = 0 gets weight 1.
+    The solver gets the closed-form Jacobian of the weighted residual.
     """
     if len(curve.taus) < 14:
         raise PhotonStatsError("need at least 14 points spanning the dip and shoulders")

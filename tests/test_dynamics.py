@@ -193,6 +193,32 @@ def test_unitarity_through_random_sequence():
     assert 0.0 <= result.population <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["drive_freq", "rabi_freq", "readout_contrast"])
+def test_simulate_rabi_rejects_nonfinite_input_before_eigensolve(monkeypatch, name, value):
+    def no_eigensolve(h):
+        raise AssertionError("eigensolve ran before the input check")
+
+    monkeypatch.setattr(dynamics, "eigenlevels", no_eigensolve)
+    system, env, f_low = isolated_two_level()
+    kwargs = dict(drive_freq=f_low, rabi_freq=2.0, readout_contrast=0.2)
+    kwargs[name] = value
+    with pytest.raises(DynamicsError, match=f"{name} must be finite"):
+        simulate_rabi(system, env, None, durations=np.linspace(0.0, 1.0, 8), **kwargs)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_propagate_sequence_rejects_nonfinite_contrast_before_eigensolve(monkeypatch, value):
+    def no_eigensolve(h):
+        raise AssertionError("eigensolve ran before the input check")
+
+    monkeypatch.setattr(dynamics, "eigenlevels", no_eigensolve)
+    system, env, f_low = isolated_two_level()
+    seq = PulseSequence((LaserInit(1.0), MwPulse(f_low, 2.0, 0.0, 0.25), Readout(0.5)))
+    with pytest.raises(DynamicsError, match="readout_contrast must be finite"):
+        propagate_sequence(system, env, seq, readout_contrast=value)
+
+
 def test_rabi_dephasing_envelope():
     system, env, f_low = isolated_two_level()
     times = np.linspace(0.0, 12.0, 481)

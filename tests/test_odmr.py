@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nvkit import fitting, odmr
+from nvkit.fitting import numeric_jacobian
 from nvkit.noise import NoiseSpec
 from nvkit.odmr import (
     LineShapeModel,
@@ -61,6 +63,31 @@ def test_invalid_mode_and_empty_grid():
     inf_grid = np.r_[2860.0 + np.arange(7.0), np.inf]
     with pytest.raises(OdmrError, match="grid must be finite"):
         OdmrSpectrum(inf_grid, np.ones(8), np.ones(8))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["centers", "contrasts", "fwhms", "baseline"])
+def test_line_shape_model_rejects_nonfinite_field(name, value):
+    fields = dict(centers=[2865.0, 2875.0], contrasts=[0.1, 0.1], fwhms=[5.0, 5.0],
+                  baseline=1.0)
+    fields[name] = value if name == "baseline" else [fields[name][0], value]
+    with pytest.raises(OdmrError, match=f"{name} must be finite"):
+        LineShapeModel(**fields)
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("fwhm", np.nan, "fwhm must be finite and positive"),
+    ("fwhm", np.inf, "fwhm must be finite and positive"),
+    ("fwhm", 0.0, "fwhm must be finite and positive"),
+    ("fwhm", -1.0, "fwhm must be finite and positive"),
+    ("contrast", np.nan, "contrast must be finite"),
+    ("contrast", np.inf, "contrast must be finite"),
+    ("contrast", -0.1, "contrast must be nonnegative"),
+    ("baseline", np.nan, "baseline must be finite"),
+])
+def test_synthesis_rejects_bad_line_parameters(name, value, message):
+    with pytest.raises(OdmrError, match=message):
+        synthesize_spectrum(SpinSystem(), FieldEnvironment(), "cw", GRID, **{name: value})
 
 
 def test_ensemble_equals_orientation_average():
@@ -141,6 +168,126 @@ def test_wginv_b_hyperfine_ladder_fit():
     gaps = np.diff(centers)
     assert np.sum(np.abs(gaps - 2.16) < 0.1) >= 4
     assert centers[-1] - centers[0] == pytest.approx(6.43 + 2 * 2.16, abs=0.1)
+
+
+# analytic Jacobian and seeding
+
+N14_TRIPLET = [(2867.84, 0.03, 0.7), (2870.0, 0.03, 0.7), (2872.16, 0.03, 0.7)]
+
+
+@pytest.mark.parametrize("dips, grid", [
+    ([(2870.0, 0.1, 8.0)], GRID),
+    ([(2864.3, 0.05, 8.0), (2880.7, 0.06, 7.5)], GRID),
+    (N14_TRIPLET, np.linspace(2862.0, 2878.0, 801)),
+    ([(2735.5 + 2.16 * (k % 3) + 6.43 * (k // 3), 0.02, 0.7) for k in range(6)],
+     np.linspace(2733.0, 2749.0, 1101)),
+])
+def test_dip_jacobian_matches_numeric_jacobian(dips, grid):
+    rng = np.random.default_rng(len(dips))
+    params = np.concatenate([[0.98], np.ravel(dips)])
+    weights = 1.0 / rng.uniform(0.002, 0.02, grid.size)
+    signal = odmr.LineShapeModel(*np.transpose(dips)).evaluate(grid)
+    signal = signal + rng.normal(0.0, 0.005, grid.size)
+    analytic = odmr._dip_jacobian(params, grid, weights)
+    # the default 1e-6 step leaves a truncation error of order (f0*1e-6/fwhm)^2,
+    # which exceeds 1e-6 for 0.7 MHz dips near 2.87 GHz
+    numeric = numeric_jacobian(lambda p: odmr._dip_residuals(p, grid, signal, weights),
+                               params, rel_step=1e-7)
+    scale = np.abs(analytic).max(axis=0)  # entries near a sign change compare to their column
+    np.testing.assert_allclose(analytic / scale, numeric / scale, rtol=1e-6, atol=1e-6)
+
+
+def test_fit_spectrum_makes_no_numeric_jacobian_call(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fit_spectrum fell back to a numeric Jacobian")
+
+    monkeypatch.setattr(fitting, "numeric_jacobian", forbidden)
+    env = FieldEnvironment(shift_xi=2.5, splitting_delta=4.1)
+    grid = np.linspace(2835.0, 2905.0, 701)
+    for seed in range(20):
+        spec = synthesize_spectrum(SpinSystem(), env, "cw", grid, ensemble=True,
+                                   noise=NoiseSpec("gaussian", sigma=0.005, seed=seed))
+        fit = fit_spectrum(spec, 2)
+        assert abs(fit.xi_fit - 2.5) <= 0.2 and abs(fit.delta_fit - 4.1) <= 0.2
+        assert np.all(np.isfinite(fit.errors))
+    system = SpinSystem(nuclei=(HyperfineCoupling.nitrogen14(),))
+    pulsed = synthesize_spectrum(system, FieldEnvironment(), "pulsed",
+                                 np.linspace(2862.0, 2878.0, 801))
+    fit3 = fit_spectrum(pulsed, 3)
+    assert np.all(np.abs(np.diff(fit3.model.centers) - 2.16) <= 0.05)
+
+
+def _initial_model_reference(spectrum, n_dips):
+    """The seeding as it was written before vectorization, kept for comparison."""
+    freqs, signal = spectrum.freqs, spectrum.signal
+    smooth = np.convolve(signal, np.ones(5) / 5.0, mode="same")
+    baseline = float(np.percentile(smooth, 90))
+    minima = [i for i in range(1, len(smooth) - 1)
+              if smooth[i] <= smooth[i - 1] and smooth[i] < smooth[i + 1]]
+    minima.sort(key=lambda i: (smooth[i], freqs[i]))
+    picks = []
+    blocked = np.zeros(len(smooth), dtype=bool)
+    for i in minima:
+        if len(picks) == n_dips:
+            break
+        if blocked[i]:
+            continue
+        picks.append(i)
+        left, right = odmr._half_depth_extent(smooth, baseline, i)
+        pad = max(right - left, 2)
+        blocked[max(left - pad, 0):min(right + pad + 1, len(smooth))] = True
+    while len(picks) < n_dips:
+        k = len(picks)
+        picks.append(int((k + 1) * (len(freqs) - 1) / (n_dips + 1)))
+    picks.sort()
+    centers, contrasts, widths = [], [], []
+    span = freqs[-1] - freqs[0]
+    for i in picks:
+        depth = max(baseline - smooth[i], 1e-4)
+        left, right = odmr._half_depth_extent(smooth, baseline, i)
+        centers.append(freqs[i])
+        contrasts.append(min(depth, 0.999))
+        widths.append(max(freqs[right] - freqs[left], span / len(freqs)))
+    return np.array(centers), np.array(contrasts), np.array(widths), baseline
+
+
+def _seeding_spectra():
+    env = FieldEnvironment(shift_xi=2.5, splitting_delta=4.1)
+    n14 = SpinSystem(nuclei=(HyperfineCoupling.nitrogen14(),))
+    for seed in range(8):
+        noise = NoiseSpec("gaussian", sigma=0.002 * (seed + 1), seed=seed)
+        yield synthesize_spectrum(SpinSystem(), env, "cw", GRID, ensemble=True, noise=noise)
+        yield synthesize_spectrum(n14, FieldEnvironment(), "pulsed",
+                                  np.linspace(2862.0, 2878.0, 801), noise=noise)
+        # coarse quantization gives exact ties and flat stretches
+        spec = synthesize_spectrum(SpinSystem(), env, "cw", GRID, noise=noise)
+        yield OdmrSpectrum(GRID, np.round(spec.signal * 64.0) / 64.0, spec.sigma)
+    # two identical dips on an exactly flat baseline tie in depth
+    signal = np.ones(GRID.size)
+    for i in (100, 300):
+        signal[i - 3:i + 4] = [0.95, 0.9, 0.8, 0.75, 0.8, 0.9, 0.95]
+    yield OdmrSpectrum(GRID, signal, np.full(GRID.size, 0.01))
+    # a single point dip, so most seeds come from the degenerate fallback
+    signal = np.ones(GRID.size)
+    signal[240] = 0.5
+    yield OdmrSpectrum(GRID, signal, np.full(GRID.size, 0.01))
+
+
+def test_vectorized_seeding_returns_the_reference_picks():
+    tied = False
+    for spectrum in _seeding_spectra():
+        smooth = np.convolve(spectrum.signal, np.ones(5) / 5.0, mode="same")
+        inner = smooth[1:-1]
+        minima = inner[(inner <= smooth[:-2]) & (inner < smooth[2:])]
+        tied = tied or len(np.unique(minima)) < len(minima)
+        for n_dips in (1, 2, 3, 6):
+            model = odmr._initial_model(spectrum, n_dips)
+            centers, contrasts, widths, baseline = _initial_model_reference(spectrum, n_dips)
+            assert np.array_equal(model.centers, centers)
+            assert np.array_equal(model.contrasts, contrasts)
+            assert np.array_equal(model.fwhms, widths)
+            assert model.baseline == baseline
+    assert tied
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,15 @@ def test_g2_curve_rejects_nonfinite_values(field):
         G2Curve(**columns)
 
 
+def test_g2_curve_rejects_negative_sigma():
+    sigma = np.full(20, 0.01)
+    sigma[3] = -0.01
+    with pytest.raises(PhotonStatsError, match="sigma"):
+        G2Curve(np.linspace(-5.0, 5.0, 20), np.ones(20), sigma)
+    sigma[3] = 0.0  # zero sigma is accepted; fit_g2 gives it weight 1
+    assert G2Curve(np.linspace(-5.0, 5.0, 20), np.ones(20), sigma).sigma[3] == 0.0
+
+
 def test_g2_curve_rejects_empty():
     with pytest.raises(PhotonStatsError):
         G2Curve([], [], [])
