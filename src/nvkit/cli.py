@@ -13,6 +13,10 @@ defaults per subcommand. Grammar: `[subcommand]` section headers, then
 `key = value` lines (keys match the long flag names, dashes or underscores);
 `#` starts a comment. Unknown sections or keys are rejected. Command-line
 flags override config values.
+
+Each subcommand imports the nvkit modules it runs inside its handler, so a
+process pays for no module it does not use. confocal is the one exception
+(see its import below).
 """
 
 from __future__ import annotations
@@ -23,11 +27,17 @@ import sys
 
 import numpy as np
 
-from . import confocal, dynamics, magnetometry, odmr, photon_stats, spin_model
+# confocal is imported here, not in its handlers: bench/tracing.py wraps only
+# the nvkit modules already imported when it installs, and the ODMR and
+# dynamics workloads import nvkit.cli but never confocal. Move it back into
+# the handlers once the tracer imports what it wraps (see ROADMAP.md).
+from . import confocal
 from .constants import D_ZFS_MHZ
-from .noise import NoiseSpec, apply_noise
 
 DEFAULT_PSF = (0.45, 0.45, 2.0)
+# the values of dynamics.DecayModel, listed here so that building the parser
+# imports no science module
+DECAY_MODELS = ("stretched", "single_exp", "stretched_osc")
 
 SUBCOMMANDS = (
     "odmr-sim", "odmr-fit", "seq-sim", "decay-fit", "freq-extract",
@@ -77,6 +87,7 @@ def _floats(text: str, n: int | None = None, flag: str = "") -> tuple:
 def _parse_nuclei(text: str):
     """Nuclear spin spec: comma-separated `n14`, `c13`, optionally with
     `:a_parallel[:a_perp]` overrides, e.g. `n14,c13:6.43`."""
+    from . import spin_model
     if not text or text == "none":
         return ()
     nuclei = []
@@ -97,6 +108,7 @@ def _parse_nuclei(text: str):
 
 
 def _spin_inputs(args):
+    from . import spin_model
     nuclei = _parse_nuclei(args.nuclei)
     system = spin_model.SpinSystem(d_zfs=args.d, nuclei=nuclei)
     env = spin_model.FieldEnvironment(
@@ -107,27 +119,35 @@ def _spin_inputs(args):
     return system, env
 
 
-def _coherence(args) -> dynamics.CoherenceParams:
+def _coherence(args):
+    from . import dynamics
     return dynamics.CoherenceParams(t1=args.t1_ms, t2=args.t2_us,
                                     t2_star=args.t2star_us,
                                     t_rho_rabi=args.trho_us)
+
+
+def _noise_spec(args):
+    """Gaussian noise of --noise-sigma, or None when it is 0; a bad sigma raises."""
+    from . import noise
+    if args.noise_sigma == 0:
+        return None
+    return noise.NoiseSpec("gaussian", sigma=args.noise_sigma, seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
 # subcommand implementations (each returns an ordered record dict)
 
 def cmd_odmr_sim(args):
+    from . import odmr, spin_model
     system, env = _spin_inputs(args)
     grid = np.linspace(args.fmin, args.fmax, args.points)
-    noise = NoiseSpec("gaussian", sigma=args.noise_sigma, seed=args.seed) \
-        if args.noise_sigma > 0 else None
+    noise = _noise_spec(args)
+    unmerged = odmr.orientation_lines(system, env, args.ensemble)
     spectrum = odmr.synthesize_spectrum(
         system, env, args.mode, grid, contrast=args.contrast,
-        ensemble=args.ensemble, noise=noise)
-    lines = []
-    for variant in spin_model.orientation_variants(system) if args.ensemble else (system,):
-        lines.extend(spin_model.transition_lines(variant, env, merge_tol=0.01))
-    lines.sort()
+        ensemble=args.ensemble, noise=noise, unmerged=unmerged)
+    lines = sorted(line for freqs, strengths in unmerged
+                   for line in spin_model.merge_lines(freqs, strengths, merge_tol=0.01))
     record = {
         "mode": args.mode,
         "points": args.points,
@@ -145,6 +165,7 @@ def cmd_odmr_sim(args):
 
 
 def cmd_odmr_fit(args):
+    from . import odmr
     spectrum = odmr.load_spectrum(args.infile)
     result = odmr.fit_spectrum(spectrum, args.n_dips, d_reference=args.d_ref)
     record = {
@@ -165,11 +186,11 @@ def cmd_odmr_fit(args):
 
 
 def cmd_seq_sim(args):
+    from . import dynamics, noise, spin_model
     system, env = _spin_inputs(args)
     coh = _coherence(args)
     times = np.linspace(args.tmin, args.tmax, args.points)
-    noise = NoiseSpec("gaussian", sigma=args.noise_sigma, seed=args.seed) \
-        if args.noise_sigma > 0 else None
+    spec = _noise_spec(args)
     if args.kind == "rabi":
         if args.drive_freq is None:
             lines = spin_model.transition_lines(system, env, merge_tol=0.01)
@@ -178,17 +199,17 @@ def cmd_seq_sim(args):
             drive = args.drive_freq
         curve = dynamics.simulate_rabi(system, env, coh, drive,
                                        args.rabi_freq, times)
-        if noise is not None:
-            noisy, sigma = apply_noise(curve.signal, noise)
+        if spec is not None:
+            noisy, sigma = noise.apply_noise(curve.signal, spec)
             curve = dynamics.DecayCurve(curve.times, noisy, sigma, kind="rabi")
     elif args.kind == "fid":
         curve = dynamics.simulate_fid(system, env, coh, args.detuning, times,
-                                      noise=noise)
+                                      noise=spec)
     elif args.kind == "hahn":
         curve = dynamics.simulate_hahn(system, env, coh,
-                                       args.larmor_khz * 1e-3, times, noise=noise)
+                                       args.larmor_khz * 1e-3, times, noise=spec)
     else:
-        curve = dynamics.simulate_relaxometry(coh, times, noise=noise)
+        curve = dynamics.simulate_relaxometry(coh, times, noise=spec)
     record = {
         "kind": args.kind,
         "points": args.points,
@@ -208,6 +229,7 @@ def cmd_seq_sim(args):
 
 
 def cmd_decay_fit(args):
+    from . import dynamics
     curve = dynamics.load_curve(args.infile)
     model = dynamics.DecayModel(args.model)
     fit = dynamics.fit_decay_envelope(curve, model)
@@ -225,6 +247,7 @@ def cmd_decay_fit(args):
 
 
 def cmd_freq_extract(args):
+    from . import dynamics
     curve = dynamics.load_curve(args.infile)
     comps = dynamics.extract_frequencies(curve, args.max_components)
     record = {"n_components": len(comps)}
@@ -235,6 +258,7 @@ def cmd_freq_extract(args):
 
 
 def cmd_g2_fit(args):
+    from . import photon_stats
     curve = photon_stats.load_g2(args.infile)
     fit = photon_stats.fit_g2(curve)
     return {
@@ -247,6 +271,7 @@ def cmd_g2_fit(args):
 
 
 def cmd_sat_fit(args):
+    from . import photon_stats
     powers, counts = photon_stats.load_saturation(args.infile)
     fit = photon_stats.fit_saturation(powers, counts)
     return {
@@ -290,6 +315,7 @@ def cmd_enhance(args):
 
 
 def cmd_sensitivity(args):
+    from . import magnetometry
     params = magnetometry.SensorParams(
         count_rate=args.count_rate, contrast=args.contrast,
         readout_window=args.readout_us, t2_star=args.t2star_us, t2=args.t2_us)
@@ -403,7 +429,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = subs.add_parser("decay-fit", help="fit a decay envelope to a curve file")
     p.add_argument("--in", dest="infile", default=None, help="decay-curve file")
     p.add_argument("--model",
-                   choices=tuple(m.value for m in dynamics.DecayModel),
+                   choices=DECAY_MODELS,
                    default="stretched")
     _add_common(p)
     table["decay-fit"] = (p, cmd_decay_fit, ("infile",))

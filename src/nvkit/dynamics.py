@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .fitting import FitError, levenberg_marquardt
+from .fitting import FitError, levenberg_marquardt, median
 from .noise import NoiseSpec, apply_noise
 from .spin_model import (
     FieldEnvironment,
@@ -575,8 +575,8 @@ def extract_frequencies(curve: DecayCurve, max_components: int):
     freqs = np.fft.rfftfreq(len(y), dt)
     # ignore the DC/envelope leakage below two grid bins
     lo_cut = 2
-    noise_floor = np.median(mags[lo_cut:])
-    mad = np.median(np.abs(mags[lo_cut:] - noise_floor))
+    noise_floor = median(mags[lo_cut:])
+    mad = median(np.abs(mags[lo_cut:] - noise_floor))
     threshold = noise_floor + 8.0 * max(mad, 1e-12 * mags.max())
 
     peaks = [i for i in range(max(lo_cut, 1), len(mags) - 1)

@@ -11,6 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class NoiseError(ValueError):
+    """Invalid noise specification; the message names the field."""
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Noise to superimpose on a clean synthetic signal.
@@ -27,9 +31,13 @@ class NoiseSpec:
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "poisson"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
+            raise NoiseError(f"unknown noise kind {self.kind!r}")
+        for name in ("sigma", "counts"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise NoiseError(f"{name} must be finite and nonnegative, got {value!r}")
         if self.kind == "poisson" and self.counts <= 0:
-            raise ValueError("poisson noise requires counts > 0")
+            raise NoiseError("poisson noise requires counts > 0")
 
 
 def apply_noise(signal: np.ndarray, spec: NoiseSpec | None):

@@ -21,8 +21,9 @@ from .noise import NoiseSpec, apply_noise
 from .spin_model import (
     FieldEnvironment,
     SpinSystem,
+    merge_lines,
     orientation_variants,
-    transition_lines,
+    unmerged_lines,
 )
 from .tables import read_table, write_table
 
@@ -60,6 +61,8 @@ class OdmrSpectrum:
             raise OdmrError("frequency grid must be finite and strictly increasing")
         if not (np.all(np.isfinite(signal)) and np.all(np.isfinite(sigma))):
             raise OdmrError("signal and sigma must be finite")
+        if np.any(sigma < 0):
+            raise OdmrError("sigma values must be nonnegative")
         if self.mode not in ("cw", "pulsed"):
             raise OdmrError(f"unknown mode {self.mode!r}")
         object.__setattr__(self, "freqs", freqs)
@@ -127,6 +130,16 @@ class OdmrFitResult:
     iterations: int
 
 
+def orientation_lines(system: SpinSystem, env: FieldEnvironment, ensemble: bool = False):
+    """Unmerged ``(freqs, strengths)`` of ``system``, one pair per orientation.
+
+    With ensemble=True these are the four NV orientations in the fixed order,
+    otherwise ``system`` alone; see :func:`spin_model.unmerged_lines`.
+    """
+    variants = orientation_variants(system) if ensemble else (system,)
+    return [unmerged_lines(variant, env) for variant in variants]
+
+
 def synthesize_spectrum(
     system: SpinSystem,
     env: FieldEnvironment,
@@ -138,6 +151,7 @@ def synthesize_spectrum(
     ensemble: bool = False,
     branch_weights: tuple[float, float] = (1.0, 1.0),
     noise: NoiseSpec | None = None,
+    unmerged: list | None = None,
 ) -> OdmrSpectrum:
     """Model ODMR spectrum for a spin system in its field environment.
 
@@ -145,6 +159,9 @@ def synthesize_spectrum(
     Hamiltonian. With ensemble=True the four NV orientations contribute
     equally. branch_weights scales dips below/above the mean line position
     to mimic the contrast asymmetry of strain-mixed sublevels.
+    ``unmerged`` is ``orientation_lines(system, env, ensemble)``, for a
+    caller that needs those lines too; it is computed here when None. Its
+    length must match ``ensemble``: four orientations, or one.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -161,12 +178,16 @@ def synthesize_spectrum(
         raise OdmrError(f"fwhm must be finite and positive, got {fwhm!r}")
     width = fwhm if fwhm is not None else (CW_FWHM_MHZ if mode == "cw" else PULSED_FWHM_MHZ)
 
-    variants = orientation_variants(system) if ensemble else (system,)
+    if unmerged is None:
+        unmerged = orientation_lines(system, env, ensemble)
+    elif len(unmerged) != (n := 4 if ensemble else 1):
+        raise OdmrError(f"unmerged holds {len(unmerged)} orientations; "
+                        f"ensemble={ensemble} needs {n}")
 
     lines: list[tuple[float, float]] = []
-    for variant in variants:
-        for freq, weight in transition_lines(variant, env):
-            lines.append((freq, weight / len(variants)))
+    for freqs, strengths in unmerged:
+        for freq, weight in merge_lines(freqs, strengths):
+            lines.append((freq, weight / len(unmerged)))
 
     signal = np.full_like(grid, baseline)
     if lines and contrast > 0:
@@ -288,6 +309,7 @@ def fit_spectrum(
 ) -> OdmrFitResult:
     """Weighted multi-Lorentzian dip fit.
 
+    Residuals are weighted by 1/sigma; a point with sigma = 0 gets weight 1.
     The solver gets the closed-form Jacobian of the weighted residual in the
     baseline and each dip's center, contrast and FWHM; the reported errors
     come from the same Jacobian at the solution. The shift/splitting

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import FitError, levenberg_marquardt
+from .fitting import FitError, levenberg_marquardt, median
 from .noise import NoiseSpec, apply_noise
 from .tables import read_table, write_table
 
@@ -126,7 +126,7 @@ def _initial_g2_params(curve: G2Curve) -> np.ndarray:
     """
     taus, g2 = curve.taus, curve.g2
     weights = 1.0 / np.where(curve.sigma > 0, curve.sigma, 1.0)
-    noise = float(np.median(np.where(curve.sigma > 0, curve.sigma, 0.02)))
+    noise = median(np.where(curve.sigma > 0, curve.sigma, 0.02))
     i_min = int(np.argmin(g2))
     tau0 = float(taus[i_min])
     span = float(taus.max() - taus.min())

@@ -312,13 +312,12 @@ def ms0_projector(system: SpinSystem) -> np.ndarray:
     return _operators(system).p0
 
 
-def transition_lines(system: SpinSystem, env: FieldEnvironment, merge_tol: float = 1e-6):
-    """Optically detectable spin transition lines as (frequency, weight) pairs.
+def unmerged_lines(system: SpinSystem, env: FieldEnvironment):
+    """Every drivable transition as unmerged ``(freqs, strengths)`` arrays.
 
-    Weights combine the initial ms=0 population prepared by optical pumping
-    with the polarization-averaged magnetic drive strength |Sx_ij|^2 +
-    |Sy_ij|^2; they are normalized to sum to 1. Lines closer than
-    ``merge_tol`` (MHz) are merged.
+    Strengths are the unnormalized weights of :func:`transition_lines`; pairs
+    of strength 1e-9 or less are dropped. :func:`merge_lines` merges them at
+    any tolerance, so one eigensolve serves several tolerances.
     """
     ops = _operators(system)
     evals, evecs = eigenlevels(build_hamiltonian(system, env))
@@ -330,7 +329,18 @@ def transition_lines(system: SpinSystem, env: FieldEnvironment, merge_tol: float
     i, j = np.triu_indices(len(evals), k=1)
     freqs = evals[j] - evals[i]
     strengths = (np.abs(sx[i, j]) ** 2 + np.abs(sy[i, j]) ** 2) * np.abs(pops[i] - pops[j])
-    keep = (strengths > 1e-9) & (freqs > merge_tol)
+    keep = strengths > 1e-9
+    return freqs[keep], strengths[keep]
+
+
+def merge_lines(freqs, strengths, merge_tol: float = 1e-6):
+    """(frequency, weight) lines from :func:`unmerged_lines` output.
+
+    Frequencies of ``merge_tol`` (MHz) or less are dropped, lines closer than
+    ``merge_tol`` are merged at their strength-weighted mean, and the
+    weights are normalized to sum to 1.
+    """
+    keep = freqs > merge_tol
     freqs, strengths = freqs[keep], strengths[keep]
     order = np.lexsort((strengths, freqs))  # by frequency, then strength
 
@@ -345,3 +355,14 @@ def transition_lines(system: SpinSystem, env: FieldEnvironment, merge_tol: float
     if total <= 0:
         return []
     return [(f, w / total) for f, w in merged]
+
+
+def transition_lines(system: SpinSystem, env: FieldEnvironment, merge_tol: float = 1e-6):
+    """Optically detectable spin transition lines as (frequency, weight) pairs.
+
+    Weights combine the initial ms=0 population prepared by optical pumping
+    with the polarization-averaged magnetic drive strength |Sx_ij|^2 +
+    |Sy_ij|^2; they are normalized to sum to 1. Lines closer than
+    ``merge_tol`` (MHz) are merged.
+    """
+    return merge_lines(*unmerged_lines(system, env), merge_tol)

@@ -22,26 +22,44 @@ def parse_header(path, line, kind, keys, error):
 
 
 def parse_rows(path, lines, first_lineno, ncols, error):
-    """Parse rows of ``ncols`` finite numbers; ``lines[0]`` is line ``first_lineno``."""
+    """Parse rows of ``ncols`` finite numbers; ``lines[0]`` is line ``first_lineno``.
+
+    The values are converted in one numpy call, which parses each token as
+    ``float()`` does. Errors name the first offending line: a wrong column
+    count or a non-numeric value, whichever comes first, then no data rows,
+    then a non-finite value.
+    """
     rows, linenos = [], []
     for lineno, line in enumerate(lines, start=first_lineno):
         cols = line.split()
         if not cols or cols[0].startswith("#"):
             continue
         if len(cols) != ncols:
+            _raise_non_numeric(path, rows, linenos, error)
             raise error(f"{path}:{lineno}: expected {ncols} columns, got {len(cols)}")
-        try:
-            rows.append([float(c) for c in cols])
-        except ValueError:
-            raise error(f"{path}:{lineno}: non-numeric value") from None
+        rows.append(cols)
         linenos.append(lineno)
     if not rows:
         raise error(f"{path}: no data rows")
-    data = np.array(rows)
+    try:
+        data = np.array(rows, dtype=float)
+    except ValueError:
+        _raise_non_numeric(path, rows, linenos, error)
+        raise
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         raise error(f"{path}:{linenos[int(np.argmin(finite))]}: non-finite value")
     return data
+
+
+def _raise_non_numeric(path, rows, linenos, error):
+    """Raise ``error`` naming the first row holding a value ``float()`` rejects."""
+    for lineno, cols in zip(linenos, rows):
+        try:
+            for c in cols:
+                float(c)
+        except ValueError:
+            raise error(f"{path}:{lineno}: non-numeric value") from None
 
 
 def read_table(path, kind, keys, ncols, error):

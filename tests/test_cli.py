@@ -1,5 +1,8 @@
 """Command-line interface: determinism, exit codes, config handling."""
 
+import contextlib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -249,3 +252,94 @@ def test_density_warns_above_linearity_threshold():
     assert result.returncode == 0
     assert "warning" in result.stderr
     assert "ppb" in result.stdout
+
+
+# nvkit modules each subcommand loads beyond BASE_MODULES, which nvkit.cli
+# imports itself
+BASE_MODULES = {"nvkit", "nvkit.cli", "nvkit.confocal", "nvkit.constants", "nvkit.fitting",
+                "nvkit.tables"}
+SUBCOMMAND_MODULES = {
+    "odmr-sim": {"noise", "odmr", "spin_model"},
+    "odmr-fit": {"noise", "odmr", "spin_model"},
+    "seq-sim": {"dynamics", "noise", "spin_model"},
+    "decay-fit": {"dynamics", "noise", "spin_model"},
+    "freq-extract": {"dynamics", "noise", "spin_model"},
+    "g2-fit": {"noise", "photon_stats"},
+    "sat-fit": {"noise", "photon_stats"},
+    "density": set(),
+    "enhance": set(),
+    "sensitivity": {"magnetometry"},
+    "map-slice": set(),
+}
+LOADED_MODULES = """
+import contextlib, io, json, sys
+from nvkit import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("nvkit"))]))
+"""
+
+
+def test_each_subcommand_loads_only_its_modules(data_dir, tmp_path):
+    argvs = all_subcommand_argvs(data_dir, tmp_path)
+    assert set(argvs) == set(SUBCOMMAND_MODULES)
+    for name, argv in argvs.items():
+        env = {k: v for k, v in os.environ.items() if k != "NVKIT_CONFIG"}
+        result = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv],
+                                capture_output=True, text=True, env=env, check=True)
+        code, loaded = json.loads(result.stdout)
+        assert code == 0, (name, result.stderr)
+        expected = BASE_MODULES | {"nvkit." + m for m in SUBCOMMAND_MODULES[name]}
+        assert set(loaded) == expected, name
+
+
+def test_seeding_fits_does_not_import_numpy_ma(data_dir, tmp_path):
+    # np.median imports numpy.ma, about 20 ms per process
+    argvs = all_subcommand_argvs(data_dir, tmp_path)
+    script = ("import contextlib, io, sys\nfrom nvkit import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert cli.main(sys.argv[1:]) == 0\n"
+              "print('numpy.ma' in sys.modules)")
+    for name in ("g2-fit", "freq-extract"):
+        result = subprocess.run([sys.executable, "-c", script, *argvs[name]],
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False", name
+
+
+def test_decay_fit_model_choices_need_no_dynamics_import():
+    script = ("import sys; from nvkit import cli; cli.build_parser(); "
+              "print('nvkit.dynamics' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
+    from nvkit import cli, dynamics
+    _, table = cli.build_parser()
+    action = next(a for a in table["decay-fit"][0]._actions if a.dest == "model")
+    assert list(action.choices) == [m.value for m in dynamics.DecayModel]
+
+
+def test_odmr_sim_solves_each_orientation_once(monkeypatch):
+    from nvkit import cli, spin_model
+    calls = []
+    original = spin_model.eigenlevels
+
+    def counted(h):
+        calls.append(h)
+        return original(h)
+    monkeypatch.setattr(spin_model, "eigenlevels", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["odmr-sim", "--ensemble", "--points", "41"]) == 0
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["odmr-sim", "--noise-sigma", "nan"],
+    ["odmr-sim", "--noise-sigma", "-0.01", "--ensemble"],
+    ["seq-sim", "--kind", "hahn", "--noise-sigma", "-1", "--points", "11"],
+    ["seq-sim", "--kind", "rabi", "--noise-sigma", "inf", "--points", "11"],
+])
+def test_bad_noise_sigma_exits_1(argv):
+    result = run_cli(argv)
+    assert result.returncode == 1
+    assert "sigma" in result.stderr
+    assert "# nvkit v1" not in result.stdout

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from nvkit.fitting import FitError, levenberg_marquardt, numeric_jacobian
+from nvkit.fitting import FitError, levenberg_marquardt, median, numeric_jacobian
 
 
 def quadratic_residuals(target):
@@ -87,3 +90,16 @@ def test_nonfinite_start_raises():
 
     with pytest.raises(FitError):
         levenberg_marquardt(residuals, [1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.integers(1, 40),
+              elements=st.floats(allow_nan=False, allow_infinity=False, width=64)))
+def test_median_equals_numpy_median(values):
+    with np.errstate(over="ignore"):  # both overflow alike on two huge middle values
+        assert median(values) == np.median(values)
+
+
+def test_median_of_nothing_is_nan():
+    assert np.isnan(median(np.array([])))
+

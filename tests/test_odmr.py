@@ -102,6 +102,36 @@ def test_ensemble_equals_orientation_average():
     assert np.allclose(ens.signal, np.mean(singles, axis=0), atol=1e-12)
 
 
+def test_synthesis_from_given_orientation_lines_is_identical():
+    env = FieldEnvironment(b_lab=np.array([1.0, 2.0, 3.0]), shift_xi=1.0,
+                           splitting_delta=0.5)
+    system = SpinSystem(nuclei=(HyperfineCoupling.nitrogen14(),))
+    for ensemble in (False, True):
+        unmerged = odmr.orientation_lines(system, env, ensemble)
+        assert len(unmerged) == (4 if ensemble else 1)
+        plain = synthesize_spectrum(system, env, "pulsed", GRID, ensemble=ensemble)
+        given_lines = synthesize_spectrum(system, env, "pulsed", GRID, ensemble=ensemble,
+                                          unmerged=unmerged)
+        assert np.array_equal(plain.signal, given_lines.signal)
+
+
+def test_synthesis_rejects_lines_of_the_other_orientation_count():
+    env = FieldEnvironment(b_lab=np.array([1.0, 2.0, 3.0]))
+    system = SpinSystem()
+    for ensemble in (False, True):
+        unmerged = odmr.orientation_lines(system, env, not ensemble)
+        with pytest.raises(OdmrError, match="orientations"):
+            synthesize_spectrum(system, env, "cw", GRID, ensemble=ensemble, unmerged=unmerged)
+
+
+def test_spectrum_rejects_negative_sigma():
+    sigma = np.full(GRID.size, 0.01)
+    sigma[3] = -0.01
+    with pytest.raises(OdmrError, match="sigma"):
+        OdmrSpectrum(GRID, np.ones(GRID.size), sigma)
+    OdmrSpectrum(GRID, np.ones(GRID.size), np.zeros(GRID.size))
+
+
 def test_lorentzian_dip_area_linear_in_contrast():
     freqs = np.linspace(-200.0, 200.0, 20001)
     areas = []

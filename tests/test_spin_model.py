@@ -173,6 +173,47 @@ def test_n14_hyperfine_three_lines():
     assert np.allclose(np.diff(freqs), 2.16, atol=0.02)
 
 
+def _reference_transition_lines(system, env, merge_tol):
+    """transition_lines as one function, with both filters applied together."""
+    ops = spin_model._operators(system)
+    evals, evecs = eigenlevels(build_hamiltonian(system, env))
+    sx = evecs.conj().T @ ops.sx @ evecs
+    sy = evecs.conj().T @ ops.sy @ evecs
+    p0 = evecs.conj().T @ ops.p0 @ evecs
+    pops = np.diag(p0).real / max(np.trace(p0).real, 1e-300)
+    i, j = np.triu_indices(len(evals), k=1)
+    freqs = evals[j] - evals[i]
+    strengths = (np.abs(sx[i, j]) ** 2 + np.abs(sy[i, j]) ** 2) * np.abs(pops[i] - pops[j])
+    keep = (strengths > 1e-9) & (freqs > merge_tol)
+    freqs, strengths = freqs[keep], strengths[keep]
+    order = np.lexsort((strengths, freqs))
+    merged = []
+    for freq, w in zip(freqs[order], strengths[order]):
+        if merged and freq - merged[-1][0] <= merge_tol:
+            f0, w0 = merged[-1]
+            merged[-1] = [(f0 * w0 + freq * w) / (w0 + w), w0 + w]
+        else:
+            merged.append([freq, w])
+    total = sum(w for _, w in merged)
+    return [(f, w / total) for f, w in merged] if total > 0 else []
+
+
+@pytest.mark.parametrize("nuclei", [(), (HyperfineCoupling.nitrogen14(),),
+                                    (HyperfineCoupling.nitrogen14(),
+                                     HyperfineCoupling.carbon13())])
+def test_one_unmerged_solve_serves_every_merge_tolerance(nuclei):
+    rng = np.random.default_rng(4)
+    for orientation in nv_orientations():
+        system = SpinSystem(nuclei=nuclei, orientation=orientation)
+        env = FieldEnvironment(b_lab=rng.normal(0.0, 3.0, 3), shift_xi=rng.uniform(-3, 3),
+                               splitting_delta=rng.uniform(0, 5))
+        freqs, strengths = spin_model.unmerged_lines(system, env)
+        for tol in (1e-6, 0.01, 0.05, 3.0):
+            expected = _reference_transition_lines(system, env, tol)
+            assert spin_model.merge_lines(freqs, strengths, tol) == expected
+            assert transition_lines(system, env, tol) == expected
+
+
 def test_spectrum_is_real():
     system = SpinSystem(nuclei=(HyperfineCoupling.nitrogen14(),))
     env = FieldEnvironment(b_lab=np.array([1.0, 2.0, 0.5]), shift_xi=1.0,

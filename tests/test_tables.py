@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from nvkit import tables
 from nvkit.confocal import ConfocalError, load_map
 from nvkit.dynamics import DynamicsError, load_curve
 from nvkit.odmr import OdmrError, load_spectrum
@@ -45,3 +46,61 @@ def test_loader_raises_typed_error_or_returns_finite(tmp_path, fmt, with_header,
     except error:
         return
     assert all(np.all(np.isfinite(a)) for a in arrays(result))
+
+
+class _TableError(ValueError):
+    pass
+
+
+def _reference_parse_rows(path, lines, first_lineno, ncols, error):
+    """parse_rows as a per-row float() loop."""
+    rows, linenos = [], []
+    for lineno, line in enumerate(lines, start=first_lineno):
+        cols = line.split()
+        if not cols or cols[0].startswith("#"):
+            continue
+        if len(cols) != ncols:
+            raise error(f"{path}:{lineno}: expected {ncols} columns, got {len(cols)}")
+        try:
+            rows.append([float(c) for c in cols])
+        except ValueError:
+            raise error(f"{path}:{lineno}: non-numeric value") from None
+        linenos.append(lineno)
+    if not rows:
+        raise error(f"{path}: no data rows")
+    data = np.array(rows)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise error(f"{path}:{linenos[int(np.argmin(finite))]}: non-finite value")
+    return data
+
+
+def _outcome(parse, lines, ncols):
+    try:
+        return parse("t.txt", lines, 2, ncols, _TableError)
+    except _TableError as exc:
+        return str(exc)
+
+
+MORE_TOKENS = st.one_of(TOKENS, st.sampled_from(
+    ["1_0", "infinity", "1e-400", "0x10", "１２", "1e", "+.5", "-0.0", "1__0"]))
+
+
+def _table(ncols):
+    """Mostly rows of ``ncols`` tokens, some lines of any length."""
+    row = st.lists(MORE_TOKENS, min_size=ncols, max_size=ncols).map(" ".join)
+    line = st.lists(MORE_TOKENS, min_size=0, max_size=4).map(" ".join)
+    return st.tuples(st.lists(st.one_of(row, row, row, line), max_size=12), st.just(ncols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=st.integers(1, 3).flatmap(_table))
+def test_parse_rows_matches_the_float_loop(table):
+    lines, ncols = table
+    got = _outcome(tables.parse_rows, lines, ncols)
+    expected = _outcome(_reference_parse_rows, lines, ncols)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes() and got.shape == expected.shape
