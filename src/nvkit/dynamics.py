@@ -408,6 +408,9 @@ def simulate_fid(
     noise: NoiseSpec | None = None,
 ) -> DecayCurve:
     """Free-induction decay: damped beats at the hyperfine detunings."""
+    for name, value in (("detuning", detuning), ("baseline", baseline),
+                        ("amplitude", amplitude), ("stretch", stretch)):
+        _require_finite(name, value)
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise DynamicsError("empty time grid")
@@ -438,6 +441,10 @@ def simulate_hahn(
     Revivals recur each Larmor period: the echo is multiplied by
     1 - mod_depth*sin^4(pi*f_L*t), which returns to 1 at t = k/f_L.
     """
+    for name, value in (("larmor_freq", larmor_freq), ("baseline", baseline),
+                        ("amplitude", amplitude), ("stretch", stretch),
+                        ("mod_depth", mod_depth)):
+        _require_finite(name, value)
     if larmor_freq < 0:
         raise DynamicsError("larmor_freq must be nonnegative")
     times = np.asarray(times, dtype=float)
@@ -459,6 +466,8 @@ def simulate_relaxometry(
     noise: NoiseSpec | None = None,
 ) -> DecayCurve:
     """Longitudinal relaxation: single exponential with time constant t1."""
+    for name, value in (("baseline", baseline), ("amplitude", amplitude)):
+        _require_finite(name, value)
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise DynamicsError("empty time grid")

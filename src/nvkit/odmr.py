@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import D_ZFS_MHZ
-from .fitting import levenberg_marquardt
+from .fitting import levenberg_marquardt, percentile
 from .noise import NoiseSpec, apply_noise
 from .spin_model import (
     FieldEnvironment,
     SpinSystem,
     merge_lines,
     orientation_variants,
+    project_field,
     unmerged_lines,
 )
 from .tables import read_table, write_table
@@ -134,10 +135,20 @@ def orientation_lines(system: SpinSystem, env: FieldEnvironment, ensemble: bool 
     """Unmerged ``(freqs, strengths)`` of ``system``, one pair per orientation.
 
     With ensemble=True these are the four NV orientations in the fixed order,
-    otherwise ``system`` alone; see :func:`spin_model.unmerged_lines`.
+    otherwise ``system`` alone; see :func:`spin_model.unmerged_lines`. The
+    Hamiltonian sees an orientation only through its field projection, so
+    orientations with the same projection share one eigensolve and the same
+    arrays: at zero field all four do.
     """
     variants = orientation_variants(system) if ensemble else (system,)
-    return [unmerged_lines(variant, env) for variant in variants]
+    projections = np.array(project_field(env.b_lab, [v.orientation for v in variants]))
+    solved, lines = {}, []
+    for variant, projection in zip(variants, projections):
+        key = projection.tobytes()  # exact bits, so 0.0 and -0.0 stay apart
+        if key not in solved:
+            solved[key] = unmerged_lines(variant, env)
+        lines.append(solved[key])
+    return lines
 
 
 def synthesize_spectrum(
@@ -157,8 +168,10 @@ def synthesize_spectrum(
 
     Dips sit at the exact transition frequencies of the diagonalized
     Hamiltonian. With ensemble=True the four NV orientations contribute
-    equally. branch_weights scales dips below/above the mean line position
-    to mimic the contrast asymmetry of strain-mixed sublevels.
+    equally; orientations with the same field projection share one
+    eigensolve (see :func:`orientation_lines`). branch_weights scales dips
+    below/above the mean line position to mimic the contrast asymmetry of
+    strain-mixed sublevels.
     ``unmerged`` is ``orientation_lines(system, env, ensemble)``, for a
     caller that needs those lines too; it is computed here when None. Its
     length must match ``ensemble``: four orientations, or one.
@@ -202,15 +215,18 @@ def synthesize_spectrum(
 
 
 def _half_depth_extent(smooth, baseline, i):
-    """Contiguous index range around minimum ``i`` below half its depth."""
+    """Contiguous index range around minimum ``i`` below half its depth.
+
+    Each edge is the first index, walking out from ``i``, that is not below
+    half depth, or the end of the array.
+    """
     depth = max(baseline - smooth[i], 1e-12)
     half = baseline - 0.5 * depth
-    right = i
-    while right < len(smooth) - 1 and smooth[right] < half:
-        right += 1
-    left = i
-    while left > 0 and smooth[left] < half:
-        left -= 1
+    stops = ~(smooth < half)
+    right = np.flatnonzero(stops[i:-1])
+    left = np.flatnonzero(stops[1:i + 1])
+    right = i + right[0] if right.size else len(smooth) - 1
+    left = 1 + left[-1] if left.size else 0
     return left, right
 
 
@@ -223,7 +239,7 @@ def _initial_model(spectrum: OdmrSpectrum, n_dips: int) -> LineShapeModel:
     freqs, signal = spectrum.freqs, spectrum.signal
     kernel = np.ones(5) / 5.0
     smooth = np.convolve(signal, kernel, mode="same")
-    baseline = float(np.percentile(smooth, 90))
+    baseline = percentile(smooth, 90)
 
     inner = smooth[1:-1]
     minima = 1 + np.flatnonzero((inner <= smooth[:-2]) & (inner < smooth[2:]))

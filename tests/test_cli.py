@@ -294,13 +294,13 @@ def test_each_subcommand_loads_only_its_modules(data_dir, tmp_path):
 
 
 def test_seeding_fits_does_not_import_numpy_ma(data_dir, tmp_path):
-    # np.median imports numpy.ma, about 20 ms per process
+    # np.median, np.percentile and np.unique import numpy.ma, about 20 ms per process
     argvs = all_subcommand_argvs(data_dir, tmp_path)
     script = ("import contextlib, io, sys\nfrom nvkit import cli\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    assert cli.main(sys.argv[1:]) == 0\n"
               "print('numpy.ma' in sys.modules)")
-    for name in ("g2-fit", "freq-extract"):
+    for name in ("g2-fit", "freq-extract", "odmr-fit", "sat-fit"):
         result = subprocess.run([sys.executable, "-c", script, *argvs[name]],
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "False", name
@@ -327,9 +327,12 @@ def test_odmr_sim_solves_each_orientation_once(monkeypatch):
         calls.append(h)
         return original(h)
     monkeypatch.setattr(spin_model, "eigenlevels", counted)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["odmr-sim", "--ensemble", "--points", "41"]) == 0
-    assert len(calls) == 4
+    # at zero field the four orientations share one field projection
+    for field, solves in (("0,0,0", 1), ("1,2,3", 4)):
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["odmr-sim", "--ensemble", "--points", "41", "--b", field]) == 0
+        assert len(calls) == solves, field
 
 
 @pytest.mark.parametrize("argv", [
@@ -342,4 +345,11 @@ def test_bad_noise_sigma_exits_1(argv):
     result = run_cli(argv)
     assert result.returncode == 1
     assert "sigma" in result.stderr
+    assert "# nvkit v1" not in result.stdout
+
+
+def test_nonfinite_larmor_frequency_exits_1():
+    result = run_cli(["seq-sim", "--kind", "hahn", "--larmor-khz", "nan", "--points", "11"])
+    assert result.returncode == 1
+    assert "larmor_freq must be finite" in result.stderr
     assert "# nvkit v1" not in result.stdout

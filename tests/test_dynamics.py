@@ -430,6 +430,35 @@ def test_relaxometry_flat_for_long_t1():
     assert 1.0 - curve.signal[-1] < 1e-3
 
 
+def _fid(detuning=0.0, **kwargs):
+    return simulate_fid(SpinSystem(), FieldEnvironment(), COH, detuning,
+                        np.linspace(0.0, 4.0, 8), **kwargs)
+
+
+def _hahn(larmor_freq=0.05, **kwargs):
+    return simulate_hahn(SpinSystem(), FieldEnvironment(), COH, larmor_freq,
+                         np.linspace(0.0, 80.0, 8), **kwargs)
+
+
+def _relaxometry(**kwargs):
+    return simulate_relaxometry(COH, np.linspace(0.0, 1000.0, 8), **kwargs)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("simulate, name", [
+    (_fid, "detuning"), (_fid, "baseline"), (_fid, "amplitude"), (_fid, "stretch"),
+    (_hahn, "larmor_freq"), (_hahn, "baseline"), (_hahn, "amplitude"), (_hahn, "stretch"),
+    (_hahn, "mod_depth"), (_relaxometry, "baseline"), (_relaxometry, "amplitude"),
+])
+def test_closed_form_traces_reject_nonfinite_scalars_by_name(monkeypatch, simulate, name, value):
+    def no_lines(*args, **kwargs):
+        raise AssertionError("line computation ran before the input check")
+
+    monkeypatch.setattr(dynamics, "transition_lines", no_lines)
+    with pytest.raises(DynamicsError, match=f"^{name} must be finite"):
+        simulate(**{name: value})
+
+
 # ---------------------------------------------------------------------------
 # envelope fitting
 

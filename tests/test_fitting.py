@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nvkit.fitting import FitError, levenberg_marquardt, median, numeric_jacobian
+from nvkit.fitting import FitError, levenberg_marquardt, median, numeric_jacobian, percentile
 
 
 def quadratic_residuals(target):
@@ -103,3 +103,24 @@ def test_median_equals_numpy_median(values):
 def test_median_of_nothing_is_nan():
     assert np.isnan(median(np.array([])))
 
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 40) | st.sampled_from([701, 801]), st.booleans())
+def test_percentile_equals_numpy_percentile_bit_for_bit(data, size, ties):
+    # odd and even lengths, the ODMR grid sizes, and ties from a few values
+    elements = (st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 3.0]) if ties
+                else st.floats(allow_nan=False, allow_infinity=False, width=64))
+    values = data.draw(arrays(np.float64, size, elements=elements))
+    with np.errstate(over="ignore", invalid="ignore"):  # both overflow alike
+        ours, theirs = percentile(values, 90), np.percentile(values, 90)
+    assert np.float64(ours).tobytes() == np.float64(theirs).tobytes()
+
+
+def test_percentile_interpolates_from_the_upper_value_from_half_on():
+    # t = 0.6 (five values) and t = 0.5 exactly (six values) take numpy's
+    # b - (b - a)(1 - t) branch; here a + (b - a) t would round differently
+    assert percentile([0.0, 0.0, 0.0, 0.41, 0.83], 90) == 0.662
+    assert percentile([0.0, 0.0, 0.0, 0.0, 0.19, 0.8], 90) == 0.495
+    values = np.array([0.0, 0.1, 0.2, 0.3, 1.0 / 3.0])
+    assert percentile(values, 100) == 1.0 / 3.0
+    assert percentile(values, 0) == 0.0

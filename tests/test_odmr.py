@@ -24,6 +24,7 @@ from nvkit.spin_model import (
     HyperfineCoupling,
     SpinSystem,
     nv_orientations,
+    project_field,
     resonance_frequencies_approx,
 )
 
@@ -113,6 +114,30 @@ def test_synthesis_from_given_orientation_lines_is_identical():
         given_lines = synthesize_spectrum(system, env, "pulsed", GRID, ensemble=ensemble,
                                           unmerged=unmerged)
         assert np.array_equal(plain.signal, given_lines.signal)
+
+
+@pytest.mark.parametrize("b_lab, solves", [
+    (np.zeros(3), 1),
+    (1.5 * AXIS_111, None),  # the other three agree up to rounding: one solve per exact pair
+    (np.array([1.0, 2.0, 3.0]), 4),
+])
+def test_orientations_with_one_field_projection_share_one_eigensolve(monkeypatch, b_lab, solves):
+    system = SpinSystem(nuclei=(HyperfineCoupling.nitrogen14(),))
+    env = FieldEnvironment(b_lab=b_lab, shift_xi=1.0, splitting_delta=0.5)
+    calls = []
+    original = odmr.unmerged_lines
+
+    def counted(variant, env):
+        calls.append(variant)
+        return original(variant, env)
+    monkeypatch.setattr(odmr, "unmerged_lines", counted)
+    unmerged = odmr.orientation_lines(system, env, ensemble=True)
+    assert len(calls) == (solves or len(set(project_field(b_lab))))
+    for orient, (freqs, strengths) in zip(nv_orientations(), unmerged):
+        own_freqs, own_strengths = original(SpinSystem(nuclei=system.nuclei,
+                                                       orientation=orient), env)
+        assert freqs.tobytes() == own_freqs.tobytes()
+        assert strengths.tobytes() == own_strengths.tobytes()
 
 
 def test_synthesis_rejects_lines_of_the_other_orientation_count():
@@ -247,6 +272,31 @@ def test_fit_spectrum_makes_no_numeric_jacobian_call(monkeypatch):
     assert np.all(np.abs(np.diff(fit3.model.centers) - 2.16) <= 0.05)
 
 
+def _half_depth_extent_reference(smooth, baseline, i):
+    """The half-depth walk as it was written before vectorization."""
+    depth = max(baseline - smooth[i], 1e-12)
+    half = baseline - 0.5 * depth
+    right = i
+    while right < len(smooth) - 1 and smooth[right] < half:
+        right += 1
+    left = i
+    while left > 0 and smooth[left] < half:
+        left -= 1
+    return left, right
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 60))
+def test_half_depth_extent_matches_the_walk(data, size):
+    # values from a few levels, so that runs, ties and edges at half depth are common
+    smooth = np.array(data.draw(st.lists(st.sampled_from([0.2, 0.5, 0.6, 0.75, 1.0]),
+                                         min_size=size, max_size=size)))
+    baseline = data.draw(st.sampled_from([0.5, 0.8, 1.0, 1.2]))
+    i = data.draw(st.integers(0, size - 1))
+    assert odmr._half_depth_extent(smooth, baseline, i) == \
+        _half_depth_extent_reference(smooth, baseline, i)
+
+
 def _initial_model_reference(spectrum, n_dips):
     """The seeding as it was written before vectorization, kept for comparison."""
     freqs, signal = spectrum.freqs, spectrum.signal
@@ -263,7 +313,7 @@ def _initial_model_reference(spectrum, n_dips):
         if blocked[i]:
             continue
         picks.append(i)
-        left, right = odmr._half_depth_extent(smooth, baseline, i)
+        left, right = _half_depth_extent_reference(smooth, baseline, i)
         pad = max(right - left, 2)
         blocked[max(left - pad, 0):min(right + pad + 1, len(smooth))] = True
     while len(picks) < n_dips:
@@ -274,7 +324,7 @@ def _initial_model_reference(spectrum, n_dips):
     span = freqs[-1] - freqs[0]
     for i in picks:
         depth = max(baseline - smooth[i], 1e-4)
-        left, right = odmr._half_depth_extent(smooth, baseline, i)
+        left, right = _half_depth_extent_reference(smooth, baseline, i)
         centers.append(freqs[i])
         contrasts.append(min(depth, 0.999))
         widths.append(max(freqs[right] - freqs[left], span / len(freqs)))

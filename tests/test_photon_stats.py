@@ -197,6 +197,23 @@ def test_fit_saturation_rejects_nonfinite_or_nonpositive_counts(counts):
         fit_saturation([0.5, 1.0, 2.0, 4.0], counts)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_saturation_rejects_nonfinite_powers(bad):
+    with pytest.raises(PhotonStatsError, match="powers must be finite"):
+        fit_saturation([0.5, 1.0, bad, 4.0], [100.0, 200.0, 300.0, 400.0])
+    with pytest.raises(PhotonStatsError, match="powers must be finite"):
+        saturation_model([bad], SaturationFit(c_sat=1e5, p_sat=1.1))
+
+
+def test_fit_saturation_distinct_powers_count_ties():
+    with pytest.raises(PhotonStatsError, match="3 distinct"):
+        fit_saturation([2.0, 1.0, 2.0, 1.0], [5.0, 4.0, 5.0, 4.0])
+    with pytest.raises(PhotonStatsError, match="3 distinct"):
+        fit_saturation([], [])
+    with pytest.raises(PhotonStatsError, match="positive"):
+        fit_saturation([-0.0, 0.0, 1.0, 2.0], [5.0, 4.0, 5.0, 4.0])
+
+
 def test_fit_saturation_pinned_on_bound_raises():
     # counts falling with power: the best fit drives p_sat onto its lower bound
     with pytest.raises(FitError, match="lower bound"):
