@@ -18,7 +18,7 @@ negligible second-order shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -41,7 +41,7 @@ class SpinModelError(ValueError):
 
 
 def _require_finite(name: str, value) -> None:
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise SpinModelError(f"{name} must be finite, got {value!r}")
 
 
@@ -130,6 +130,17 @@ def nv_orientations() -> tuple[NvOrientation, ...]:
     return tuple(NvOrientation(axis) for axis in NV_AXES)
 
 
+def _shared_orientations() -> tuple[NvOrientation, ...]:
+    orientations = tuple(NvOrientation(np.array(axis)) for axis in NV_AXES)
+    for orient in orientations:
+        orient.axis.flags.writeable = False
+    return orientations
+
+
+# the orientations of nv_orientations(), built once, with read-only axes
+NV_ORIENTATIONS = _shared_orientations()
+
+
 @dataclass(frozen=True)
 class FieldEnvironment:
     """Applied magnetic field plus effective shift/splitting scalars.
@@ -145,7 +156,7 @@ class FieldEnvironment:
 
     def __post_init__(self):
         b = np.asarray(self.b_lab, dtype=float)
-        if b.shape != (3,) or not np.all(np.isfinite(b)):
+        if b.shape != (3,) or not np.isfinite(b).all():
             raise SpinModelError("b_lab must be a finite 3-vector in mT")
         _require_finite("shift_xi", self.shift_xi)
         _require_finite("splitting_delta", self.splitting_delta)
@@ -180,11 +191,6 @@ class SpinSystem:
         return dim
 
 
-def orientation_variants(system: SpinSystem) -> tuple[SpinSystem, ...]:
-    """``system`` in each of the four NV orientations, in the fixed order."""
-    return tuple(replace(system, orientation=o) for o in nv_orientations())
-
-
 @dataclass(frozen=True)
 class HamiltonianMatrix:
     """Hermitian matrix in MHz with its Hilbert-space dimension."""
@@ -209,10 +215,10 @@ def project_field(b_lab, orientations=None):
     orientation order of :func:`nv_orientations`.
     """
     b = np.asarray(b_lab, dtype=float)
-    if b.shape != (3,) or not np.all(np.isfinite(b)):
+    if b.shape != (3,) or not np.isfinite(b).all():
         raise SpinModelError("b_lab must be a finite 3-vector in mT")
     if orientations is None:
-        orientations = nv_orientations()
+        orientations = NV_ORIENTATIONS
     out = []
     for orient in orientations:
         axial = float(b @ orient.axis)
@@ -312,6 +318,15 @@ def ms0_projector(system: SpinSystem) -> np.ndarray:
     return _operators(system).p0
 
 
+@lru_cache(maxsize=None)  # one entry per Hilbert dimension
+def _pair_indices(dimension: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (i, j) indices of every level pair i < j."""
+    pairs = np.triu_indices(dimension, k=1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
 def unmerged_lines(system: SpinSystem, env: FieldEnvironment):
     """Every drivable transition as unmerged ``(freqs, strengths)`` arrays.
 
@@ -326,7 +341,7 @@ def unmerged_lines(system: SpinSystem, env: FieldEnvironment):
     p0 = evecs.conj().T @ ops.p0 @ evecs
     pops = np.diag(p0).real / max(np.trace(p0).real, 1e-300)
 
-    i, j = np.triu_indices(len(evals), k=1)
+    i, j = _pair_indices(len(evals))
     freqs = evals[j] - evals[i]
     strengths = (np.abs(sx[i, j]) ** 2 + np.abs(sy[i, j]) ** 2) * np.abs(pops[i] - pops[j])
     keep = strengths > 1e-9

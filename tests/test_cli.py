@@ -348,6 +348,15 @@ def test_bad_noise_sigma_exits_1(argv):
     assert "# nvkit v1" not in result.stdout
 
 
+@pytest.mark.parametrize("d_ref", ["nan", "inf"])
+def test_nonfinite_d_reference_exits_1(data_dir, d_ref):
+    result = run_cli(["odmr-fit", "--in", str(data_dir / "spec.txt"), "--n-dips", "2",
+                      "--d-ref", d_ref])
+    assert result.returncode == 1
+    assert "d_reference must be finite" in result.stderr
+    assert "# nvkit v1" not in result.stdout
+
+
 def test_nonfinite_larmor_frequency_exits_1():
     result = run_cli(["seq-sim", "--kind", "hahn", "--larmor-khz", "nan", "--points", "11"])
     assert result.returncode == 1

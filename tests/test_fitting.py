@@ -93,11 +93,20 @@ def test_nonfinite_start_raises():
 
 
 @settings(max_examples=300, deadline=None)
-@given(arrays(np.float64, st.integers(1, 40),
-              elements=st.floats(allow_nan=False, allow_infinity=False, width=64)))
-def test_median_equals_numpy_median(values):
+@given(st.data(), st.integers(1, 40), st.booleans())
+def test_median_equals_numpy_median(data, size, ties):
+    # ties from a few values, with both signs of zero, and arbitrary floats
+    elements = (st.sampled_from([-2.0, -0.0, 0.0, 1.0]) if ties
+                else st.floats(allow_nan=False, allow_infinity=False, width=64))
+    values = data.draw(arrays(np.float64, size, elements=elements))
     with np.errstate(over="ignore"):  # both overflow alike on two huge middle values
-        assert median(values) == np.median(values)
+        ours, theirs = median(values), np.median(values)
+    assert np.float64(ours).tobytes() == np.float64(theirs).tobytes()
+
+
+def test_median_keeps_numpys_sign_of_zero():
+    values = np.array([1, 1, 0, 0, -0.0, -0.0, -0.0, -0.0, -2, 1])
+    assert np.float64(median(values)).tobytes() == np.float64(np.median(values)).tobytes()
 
 
 def test_median_of_nothing_is_nan():

@@ -23,9 +23,11 @@ from nvkit.spin_model import (
     FieldEnvironment,
     HyperfineCoupling,
     SpinSystem,
+    merge_lines,
     nv_orientations,
     project_field,
     resonance_frequencies_approx,
+    unmerged_lines,
 )
 
 AXIS_111 = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
@@ -85,6 +87,10 @@ def test_line_shape_model_rejects_nonfinite_field(name, value):
     ("contrast", np.inf, "contrast must be finite"),
     ("contrast", -0.1, "contrast must be nonnegative"),
     ("baseline", np.nan, "baseline must be finite"),
+    ("branch_weights", (-1.0, 1.0), "branch_weights must be nonnegative"),
+    ("branch_weights", (1.0, -0.5), "branch_weights must be nonnegative"),
+    ("branch_weights", (np.nan, 1.0), "branch_weights must be finite"),
+    ("branch_weights", (1.0, np.inf), "branch_weights must be finite"),
 ])
 def test_synthesis_rejects_bad_line_parameters(name, value, message):
     with pytest.raises(OdmrError, match=message):
@@ -138,6 +144,67 @@ def test_orientations_with_one_field_projection_share_one_eigensolve(monkeypatch
                                                        orientation=orient), env)
         assert freqs.tobytes() == own_freqs.tobytes()
         assert strengths.tobytes() == own_strengths.tobytes()
+
+
+def _count_calls(monkeypatch, *names):
+    """Wrap each named ``odmr`` function; the returned dict counts its calls."""
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+    for name in names:
+        monkeypatch.setattr(odmr, name, counted(name, getattr(odmr, name)))
+    return counts
+
+
+@pytest.mark.parametrize("system", [SpinSystem(), SpinSystem(nuclei=(HyperfineCoupling.nitrogen14(),))],
+                         ids=["bare", "N14"])
+def test_zero_field_ensemble_merges_and_evaluates_each_line_once(monkeypatch, system):
+    counts = _count_calls(monkeypatch, "unmerged_lines", "merge_lines", "lorentzian")
+    env = FieldEnvironment(shift_xi=1.0, splitting_delta=3.0)
+    synthesize_spectrum(system, env, "cw", GRID, ensemble=True)
+    distinct = len(merge_lines(*unmerged_lines(system, env)))
+    assert counts == {"unmerged_lines": 1, "merge_lines": 1, "lorentzian": distinct}
+    assert distinct == 2 or system.nuclei
+
+
+def _synthesis_reference(unmerged, grid, width, branch_weights, contrast=0.1, baseline=1.0):
+    """The signal as summed before lines were grouped: each orientation on its own."""
+    lines = []
+    for freqs, strengths in unmerged:
+        for freq, weight in merge_lines(freqs, strengths):
+            lines.append((freq, weight / len(unmerged)))
+    signal = np.full_like(grid, baseline)
+    mean_freq = sum(f * w for f, w in lines) / sum(w for f, w in lines)
+    lo_w, hi_w = branch_weights
+    for freq, weight in lines:
+        branch = lo_w if freq < mean_freq else hi_w
+        signal = signal - contrast * branch * weight * lorentzian(grid, freq, width)
+    return signal
+
+
+@pytest.mark.parametrize("b_lab", [np.zeros(3), 1.5 * AXIS_111, np.array([1.0, 2.0, 3.0])],
+                         ids=["zero", "axial", "generic"])
+@pytest.mark.parametrize("branch_weights", [(1.0, 1.0), (0.7, 1.3)])
+@pytest.mark.parametrize("nuclei, mode", [((), "cw"), ((HyperfineCoupling.nitrogen14(),), "pulsed")],
+                         ids=["bare-cw", "N14-pulsed"])
+def test_grouped_synthesis_matches_the_per_orientation_sum(b_lab, branch_weights, nuclei, mode):
+    system = SpinSystem(nuclei=nuclei)
+    env = FieldEnvironment(b_lab=b_lab, shift_xi=1.0, splitting_delta=0.5)
+    width = odmr.CW_FWHM_MHZ if mode == "cw" else odmr.PULSED_FWHM_MHZ
+    unmerged = odmr.orientation_lines(system, env, ensemble=True)
+    copies = [tuple(a.copy() for a in unmerged[0]) for _ in range(4)]  # equal bytes, other objects
+    for lines in (unmerged, copies):
+        spec = synthesize_spectrum(system, env, mode, GRID, ensemble=True,
+                                   branch_weights=branch_weights, unmerged=lines)
+        reference = _synthesis_reference(lines, GRID, width, branch_weights)
+        # rounding only: one unit in the last place of 1.0 per dip the reference subtracts
+        summed = sum(len(merge_lines(*pair)) for pair in lines)
+        assert np.max(np.abs(spec.signal - reference)) <= summed * np.spacing(1.0)
+        assert summed > 8 or np.max(np.abs(spec.signal - reference)) <= 2e-15
 
 
 def test_synthesis_rejects_lines_of_the_other_orientation_count():
@@ -230,13 +297,16 @@ def test_wginv_b_hyperfine_ladder_fit():
 N14_TRIPLET = [(2867.84, 0.03, 0.7), (2870.0, 0.03, 0.7), (2872.16, 0.03, 0.7)]
 
 
-@pytest.mark.parametrize("dips, grid", [
+DIP_CASES = [
     ([(2870.0, 0.1, 8.0)], GRID),
     ([(2864.3, 0.05, 8.0), (2880.7, 0.06, 7.5)], GRID),
     (N14_TRIPLET, np.linspace(2862.0, 2878.0, 801)),
     ([(2735.5 + 2.16 * (k % 3) + 6.43 * (k // 3), 0.02, 0.7) for k in range(6)],
      np.linspace(2733.0, 2749.0, 1101)),
-])
+]
+
+
+@pytest.mark.parametrize("dips, grid", DIP_CASES)
 def test_dip_jacobian_matches_numeric_jacobian(dips, grid):
     rng = np.random.default_rng(len(dips))
     params = np.concatenate([[0.98], np.ravel(dips)])
@@ -250,6 +320,97 @@ def test_dip_jacobian_matches_numeric_jacobian(dips, grid):
                                params, rel_step=1e-7)
     scale = np.abs(analytic).max(axis=0)  # entries near a sign change compare to their column
     np.testing.assert_allclose(analytic / scale, numeric / scale, rtol=1e-6, atol=1e-6)
+
+
+def _dip_residuals_reference(params, freqs, signal, weights):
+    """The residual as written before the per-dip terms were shared."""
+    model = np.full_like(freqs, params[0])
+    for f0, c, w in params[1:].reshape(-1, 3):
+        model = model - c * lorentzian(freqs, f0, w)
+    return (model - signal) * weights
+
+
+def _dip_jacobian_reference(params, freqs, weights):
+    """The Jacobian as written before the per-dip terms were shared."""
+    jac = np.empty((freqs.size, params.size))
+    jac[:, 0] = weights
+    for k, (f0, c, w) in enumerate(params[1:].reshape(-1, 3)):
+        h = 0.5 * w
+        u = freqs - f0
+        d = u * u + h * h
+        shape = h * h / d * weights
+        jac[:, 3 * k + 1] = -2.0 * c * u / d * shape
+        jac[:, 3 * k + 2] = -shape
+        jac[:, 3 * k + 3] = -c * u * u / (h * d) * shape
+    return jac
+
+
+@pytest.mark.parametrize("dips, grid", DIP_CASES)
+def test_dip_model_matches_the_per_dip_loops(dips, grid):
+    rng = np.random.default_rng(len(dips) + 10)
+    params = np.concatenate([[0.98], np.ravel(dips)])
+    params[1:] += rng.normal(0.0, 0.01, params.size - 1)  # off the grid's symmetry
+    weights = 1.0 / rng.uniform(0.002, 0.02, grid.size)
+    signal = 0.98 + rng.normal(0.0, 0.005, grid.size)
+    for ours, reference in (
+            (odmr._dip_residuals(params, grid, signal, weights),
+             _dip_residuals_reference(params, grid, signal, weights)),
+            (odmr._dip_jacobian(params, grid, weights),
+             _dip_jacobian_reference(params, grid, weights))):
+        assert ours.shape == reference.shape and ours.flags.c_contiguous
+        np.testing.assert_allclose(ours, reference, rtol=1e-12,
+                                   atol=1e-12 * np.abs(reference).max())
+
+
+def _fit_reference(spectrum, n_dips):
+    """The dip fit with the per-dip loops, no shared terms and list bounds."""
+    freqs, signal = spectrum.freqs, spectrum.signal
+    weights = 1.0 / np.where(spectrum.sigma > 0, spectrum.sigma, 1.0)
+    span = freqs[-1] - freqs[0]
+    bounds = [(-np.inf, np.inf)] + [(freqs[0] - span, freqs[-1] + span), (0.0, 0.999999),
+                                    (span / (10.0 * len(freqs)), 2.0 * span)] * n_dips
+    return fitting.levenberg_marquardt(
+        lambda p: _dip_residuals_reference(p, freqs, signal, weights),
+        odmr._pack(odmr._initial_model(spectrum, n_dips)), bounds=bounds,
+        jac=lambda p: _dip_jacobian_reference(p, freqs, weights))
+
+
+def test_fit_matches_the_fit_with_per_dip_loops():
+    n14 = SpinSystem(nuclei=(HyperfineCoupling.nitrogen14(),))
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        xi = rng.uniform(-3.0, 3.0)
+        if seed % 4:
+            system, mode, n_dips, sigma = SpinSystem(), "cw", 2, 0.005
+            env = FieldEnvironment(shift_xi=xi, splitting_delta=rng.uniform(3.5, 5.0))
+            grid = np.linspace(2835.0, 2905.0, 701)
+        else:
+            system, mode, n_dips, sigma = n14, "pulsed", 3, 0.002
+            env = FieldEnvironment(shift_xi=xi)
+            grid = np.linspace(2862.0 + xi, 2878.0 + xi, 801)
+        spec = synthesize_spectrum(system, env, mode, grid, ensemble=True,
+                                   noise=NoiseSpec("gaussian", sigma=sigma, seed=seed))
+        fit = fit_spectrum(spec, n_dips)
+        reference = _fit_reference(spec, n_dips)
+        assert fit.iterations == reference.iterations
+        model = odmr._unpack(reference.params)
+        for ours, theirs in ((fit.model.centers, model.centers),
+                             (fit.model.contrasts, model.contrasts),
+                             (fit.model.fwhms, model.fwhms),
+                             (fit.model.baseline, model.baseline)):
+            np.testing.assert_allclose(ours, theirs, rtol=1e-10, atol=0)
+
+
+def test_fit_jacobian_reuses_the_terms_of_the_last_residual_call(monkeypatch):
+    counts = _count_calls(monkeypatch, "_dip_terms", "_dip_residuals", "_dip_jacobian")
+    env = FieldEnvironment(shift_xi=2.5, splitting_delta=4.1)
+    spec = synthesize_spectrum(SpinSystem(), env, "cw", np.linspace(2835.0, 2905.0, 701),
+                               ensemble=True, noise=NoiseSpec("gaussian", sigma=0.005, seed=3))
+    fit = fit_spectrum(spec, 2)
+    # one Jacobian per iteration plus the one for the errors; only that last
+    # one can fall on a point other than the last residual call's
+    assert counts["_dip_jacobian"] == fit.iterations + 1
+    assert counts["_dip_residuals"] <= counts["_dip_terms"] <= counts["_dip_residuals"] + 1
 
 
 def test_fit_spectrum_makes_no_numeric_jacobian_call(monkeypatch):
@@ -379,6 +540,18 @@ def test_invert_shift_splitting_values():
     assert invert_shift_splitting(2870.0, 2870.0, 2870.0) == (0.0, 0.0)
     with pytest.raises(OdmrError):
         invert_shift_splitting(2880.7, 2864.3, 2870.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_nonfinite_reference_and_resonances_are_named(value):
+    spec = synthesize_spectrum(SpinSystem(), FieldEnvironment(splitting_delta=4.0), "cw", GRID)
+    with pytest.raises(OdmrError, match="d_reference must be finite"):
+        fit_spectrum(spec, 2, d_reference=value)
+    for k, name in enumerate(("v_minus", "v_plus", "d")):
+        args = [2860.0, 2880.0, 2870.0]
+        args[k] = value
+        with pytest.raises(OdmrError, match=f"{name} must be finite"):
+            invert_shift_splitting(*args)
 
 
 @settings(max_examples=200, deadline=None)

@@ -286,6 +286,13 @@ def test_cached_operators_are_read_only(codes):
     assert ms0_projector(system) is ops.p0
     with pytest.raises(ValueError):
         ms0_projector(system)[1, 1] = 0.0
+    pairs = spin_model._pair_indices(system.dimension)
+    assert all(map(np.array_equal, pairs, np.triu_indices(system.dimension, k=1)))
+    for shared, own in zip(spin_model.NV_ORIENTATIONS, nv_orientations()):
+        assert np.array_equal(shared.axis, own.axis)
+    for a in (*(o.axis for o in spin_model.NV_ORIENTATIONS), *pairs):
+        with pytest.raises(ValueError):
+            a[0] = 1
 
     env = FieldEnvironment(b_lab=np.array([1.0, 2.0, 3.0]))
     h = build_hamiltonian(system, env).entries
