@@ -9,16 +9,17 @@ alternative divides by (4 pi/3) w_x w_y w_z. Their ratio is the constant
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .constants import CARBON_DENSITY_PER_CM3
 from .fitting import FitError, levenberg_marquardt
-from .tables import parse_header, parse_rows, write_table
+from .tables import parse_header, parse_rows, require, write_table
 
 GAUSS_INTEGRAL_PER_FWHM = float(np.sqrt(np.pi / (4.0 * np.log(2.0))))
+_AXIS_NAMES = ("x", "y", "z")
 
 
 class ConfocalError(ValueError):
@@ -27,13 +28,6 @@ class ConfocalError(ValueError):
 
 class MapFormatError(ConfocalError):
     """Map file violates the plmap v1 format; message carries the line."""
-
-
-def _require_finite(name, value, allow_zero=False):
-    """Raise ConfocalError naming ``name`` unless ``value`` is finite and > 0 (>= 0)."""
-    if not (np.isfinite(value) and (value > 0 or (allow_zero and value == 0))):
-        sign = "nonnegative" if allow_zero else "positive"
-        raise ConfocalError(f"{name} must be finite and {sign}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,12 +45,12 @@ class PLMap:
             raise ConfocalError("PLMap supports 2 or 3 axes")
         if counts.shape != tuple(len(a) for a in axes):
             raise ConfocalError("counts shape does not match axis lengths")
-        for a in axes:
-            if not (np.all(np.isfinite(a)) and np.all(np.diff(a) > 0)):
-                raise ConfocalError("axis coordinates must be finite and strictly increasing")
-        if not np.all(np.isfinite(counts) & (counts >= 0)):
-            raise ConfocalError("counts must be finite and nonnegative")
-        _require_finite("power", self.power)
+        for name, a in zip(_AXIS_NAMES, axes):
+            require(ConfocalError, f"axis {name}", a)
+            if not (np.diff(a) > 0).all():
+                raise ConfocalError(f"axis {name} must be strictly increasing")
+        require(ConfocalError, "counts", counts, "finite and nonnegative")
+        require(ConfocalError, "power", self.power, "finite and positive")
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "counts", counts)
 
@@ -77,10 +71,10 @@ class GaussianSliceFit:
     converged: bool = True
 
     def __post_init__(self):
-        if self.fwhm <= 0:
-            raise ConfocalError("fwhm must be positive")
-        if self.amplitude < 0:
-            raise ConfocalError("amplitude must be nonnegative")
+        require(ConfocalError, "amplitude", self.amplitude, "finite and nonnegative")
+        require(ConfocalError, "center", self.center)
+        require(ConfocalError, "fwhm", self.fwhm, "finite and positive")
+        require(ConfocalError, "baseline", self.baseline)
 
 
 @dataclass(frozen=True)
@@ -92,8 +86,8 @@ class PsfModel:
     w_z: float
 
     def __post_init__(self):
-        for f in fields(self):
-            _require_finite(f"PSF {f.name}", getattr(self, f.name))
+        for name in ("w_x", "w_y", "w_z"):
+            require(ConfocalError, f"PSF {name}", getattr(self, name), "finite and positive")
 
 
 class DensityMethod(Enum):
@@ -110,8 +104,8 @@ class DensityEstimate:
     method: DensityMethod
 
     def __post_init__(self):
-        if self.number_density < 0 or self.ppb < 0:
-            raise ConfocalError("density must be nonnegative")
+        require(ConfocalError, "number_density", self.number_density, "finite and nonnegative")
+        require(ConfocalError, "ppb", self.ppb, "finite and nonnegative")
 
 
 def number_density_to_ppb(per_um3: float) -> float:
@@ -184,8 +178,8 @@ def estimate_density(c_ensemble: float, c_single: float, psf: PsfModel,
 
     Both rates must be taken below saturation (caller's responsibility).
     """
-    _require_finite("c_ensemble", c_ensemble, allow_zero=True)
-    _require_finite("c_single", c_single)
+    require(ConfocalError, "c_ensemble", c_ensemble, "finite and nonnegative")
+    require(ConfocalError, "c_single", c_single, "finite and positive")
     ratio = c_ensemble / c_single
     if method is DensityMethod.GAUSSIAN:
         volume = (psf.w_x * psf.w_y * psf.w_z) * GAUSS_INTEGRAL_PER_FWHM ** 3
@@ -205,15 +199,13 @@ def gaussian_uniform_ratio() -> float:
 
 def enhancement_ratio(region_a: float, region_b: float) -> float:
     """PL (or density) enhancement of region A over region B."""
-    _require_finite("region_a", region_a, allow_zero=True)
-    _require_finite("region_b", region_b)
+    require(ConfocalError, "region_a", region_a, "finite and nonnegative")
+    require(ConfocalError, "region_b", region_b, "finite and positive")
     return region_a / region_b
 
 
 # ---------------------------------------------------------------------------
 # plmap v1 file format
-
-_AXIS_NAMES = ("x", "y", "z")
 
 
 def save_map(path, plmap: PLMap) -> None:

@@ -32,7 +32,7 @@ from .spin_model import (
     transition_lines,
     _operators,
 )
-from .tables import read_table, write_table
+from .tables import read_table, require, write_table
 
 READOUT_CONTRAST_SINGLE = 0.2
 READOUT_CONTRAST_ENSEMBLE = 0.033
@@ -45,19 +45,12 @@ class DynamicsError(ValueError):
 # ---------------------------------------------------------------------------
 # sequence elements
 
-def _require_finite(name: str, value) -> None:
-    if not np.isfinite(value):
-        raise DynamicsError(f"{name} must be finite, got {value!r}")
-
-
-def _check_fields(obj) -> None:
-    """Reject a non-finite field, or a negative duration or window, by name."""
+def _check_fields(obj, rule="finite") -> None:
+    """Check each field of ``obj`` by name against ``rule`` (durations and windows: >= 0)."""
     kind = type(obj).__name__
     for f in fields(obj):
-        value = getattr(obj, f.name)
-        _require_finite(f"{kind} {f.name}", value)
-        if f.name in ("duration", "window") and value < 0:
-            raise DynamicsError(f"{kind} {f.name} must be nonnegative, got {value!r}")
+        field_rule = "finite and nonnegative" if f.name in ("duration", "window") else rule
+        require(DynamicsError, f"{kind} {f.name}", getattr(obj, f.name), field_rule)
 
 
 @dataclass(frozen=True)
@@ -124,8 +117,7 @@ class PulseSequence:
         readouts = [e for e in elements if isinstance(e, Readout)]
         if len(readouts) != 1 or not isinstance(elements[-1], Readout):
             raise DynamicsError("sequence must end with exactly one Readout")
-        if readouts[0].window <= 0:
-            raise DynamicsError("readout window must be positive")
+        require(DynamicsError, "readout window", readouts[0].window, "finite and positive")
         freqs = {e.freq for e in elements if isinstance(e, MwPulse)}
         if len(freqs) > 1:
             raise DynamicsError("all MwPulse elements must share one frequency")
@@ -149,9 +141,7 @@ class CoherenceParams:
     t_rho_rabi: float
 
     def __post_init__(self):
-        _check_fields(self)
-        if min(self.t1, self.t2, self.t2_star, self.t_rho_rabi) <= 0:
-            raise DynamicsError("coherence times must be positive")
+        _check_fields(self, "finite and positive")
         if not (self.t2_star <= self.t2 <= 2.0 * self.t1 * 1000.0):
             raise DynamicsError("expected t2_star <= t2 <= 2*t1")
 
@@ -173,10 +163,11 @@ class DecayCurve:
             raise DynamicsError("times, signal and sigma must have equal length")
         if len(times) < 8:
             raise DynamicsError("decay curve needs at least 8 points")
-        if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
-            raise DynamicsError("times must be finite and strictly increasing")
-        if not (np.all(np.isfinite(signal)) and np.all(np.isfinite(sigma))):
-            raise DynamicsError("signal and sigma must be finite")
+        require(DynamicsError, "times", times)
+        if not (np.diff(times) > 0).all():
+            raise DynamicsError("times must be strictly increasing")
+        require(DynamicsError, "signal", signal)
+        require(DynamicsError, "sigma", sigma, "finite and nonnegative")
         if self.kind not in ("rabi", "fid", "hahn", "t1"):
             raise DynamicsError(f"unknown curve kind {self.kind!r}")
         object.__setattr__(self, "times", times)
@@ -203,10 +194,9 @@ class EnvelopeFit:
     frequencies: tuple = ()
 
     def __post_init__(self):
-        if self.t_coh <= 0:
-            raise DynamicsError("t_coh must be positive")
+        require(DynamicsError, "t_coh", self.t_coh, "finite and positive")
         if not (0.3 < self.n_stretch < 4.0):
-            raise DynamicsError("stretch exponent outside (0.3, 4)")
+            raise DynamicsError(f"n_stretch must lie in (0.3, 4), got {self.n_stretch!r}")
 
 
 @dataclass
@@ -292,7 +282,7 @@ def propagate_sequence(
     The readout signal is 1 - contrast*(1 - population). Without coh the
     evolution is purely unitary.
     """
-    _require_finite("readout_contrast", readout_contrast)
+    require(DynamicsError, "readout_contrast", readout_contrast)
     frame = _RotatingFrame(system, env, seq.drive_freq)
     # frame.hamiltonian(0, 0) is diag(frame_energies); the sequence has one
     # drive frequency, so (rabi_freq, phase) fixes each pulse Hamiltonian
@@ -349,10 +339,11 @@ def simulate_rabi(
     """
     for name, value in (("drive_freq", drive_freq), ("rabi_freq", rabi_freq),
                         ("readout_contrast", readout_contrast)):
-        _require_finite(name, value)
+        require(DynamicsError, name, value)
     durations = np.asarray(durations, dtype=float)
     if durations.size == 0:
         raise DynamicsError("empty duration grid")
+    require(DynamicsError, "durations", durations, "finite and nonnegative")
     frame = _RotatingFrame(system, env, drive_freq)
     rho0 = frame.initial_state()
     evals, evecs = eigenlevels(frame.hamiltonian(rabi_freq, 0.0))
@@ -409,11 +400,11 @@ def simulate_fid(
 ) -> DecayCurve:
     """Free-induction decay: damped beats at the hyperfine detunings."""
     for name, value in (("detuning", detuning), ("baseline", baseline),
-                        ("amplitude", amplitude), ("stretch", stretch)):
-        _require_finite(name, value)
+                        ("amplitude", amplitude)):
+        require(DynamicsError, name, value)
+    require(DynamicsError, "stretch", stretch, "finite and positive")
     times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        raise DynamicsError("empty time grid")
+    require(DynamicsError, "times", times, "finite and nonnegative")
     comps = fid_detunings(system, env, detuning)
     beat = np.zeros_like(times)
     for delta, weight in comps:
@@ -441,13 +432,13 @@ def simulate_hahn(
     Revivals recur each Larmor period: the echo is multiplied by
     1 - mod_depth*sin^4(pi*f_L*t), which returns to 1 at t = k/f_L.
     """
-    for name, value in (("larmor_freq", larmor_freq), ("baseline", baseline),
-                        ("amplitude", amplitude), ("stretch", stretch),
+    require(DynamicsError, "larmor_freq", larmor_freq, "finite and nonnegative")
+    for name, value in (("baseline", baseline), ("amplitude", amplitude),
                         ("mod_depth", mod_depth)):
-        _require_finite(name, value)
-    if larmor_freq < 0:
-        raise DynamicsError("larmor_freq must be nonnegative")
+        require(DynamicsError, name, value)
+    require(DynamicsError, "stretch", stretch, "finite and positive")
     times = np.asarray(times, dtype=float)
+    require(DynamicsError, "times", times, "finite and nonnegative")
     envelope = np.exp(-np.power(times / coh.t2, stretch))
     if larmor_freq > 0:
         modulation = 1.0 - mod_depth * np.sin(np.pi * larmor_freq * times) ** 4
@@ -467,10 +458,9 @@ def simulate_relaxometry(
 ) -> DecayCurve:
     """Longitudinal relaxation: single exponential with time constant t1."""
     for name, value in (("baseline", baseline), ("amplitude", amplitude)):
-        _require_finite(name, value)
+        require(DynamicsError, name, value)
     times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        raise DynamicsError("empty time grid")
+    require(DynamicsError, "times", times, "finite and nonnegative")
     clean = baseline + amplitude * np.exp(-times / (coh.t1 * 1000.0))
     signal, sigma = apply_noise(clean, noise)
     return DecayCurve(times=times, signal=signal, sigma=sigma, kind="t1")
@@ -565,6 +555,8 @@ def extract_frequencies(curve: DecayCurve, max_components: int):
     refinement of damped cosines in the time domain. Components are returned
     sorted by descending amplitude. A constant trace yields an empty list.
     """
+    if max_components < 1:
+        raise DynamicsError(f"max_components must be at least 1, got {max_components!r}")
     if len(curve.times) < 2 * max_components:
         raise DynamicsError("too few points for the requested component count")
     times, signal = curve.times, curve.signal

@@ -13,10 +13,10 @@ sensitivity context, 1.53 us; the 6.6 nT/sqrt(Hz) figure corresponds to
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 from .constants import G_LANDE, HBAR_J_S, MU_B_J_PER_T
+from .tables import require
 
 
 class MagnetometryError(ValueError):
@@ -35,9 +35,7 @@ class SensorParams:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not (math.isfinite(value) and value > 0):
-                raise MagnetometryError(f"{f.name} must be finite and positive, got {value!r}")
+            require(MagnetometryError, f.name, getattr(self, f.name), "finite and positive")
         if self.contrast >= 1:
             raise MagnetometryError("contrast must be below 1")
         if self.t2 < self.t2_star:
@@ -60,8 +58,7 @@ def sensitivity_si(count_rate_hz: float, contrast: float, readout_s: float,
     """Core formula in SI units; returns (eta_dc, eta_ac) in T/sqrt(Hz)."""
     for name, value in zip(("count_rate_hz", "contrast", "readout_s", "t2_star_s", "t2_s"),
                            (count_rate_hz, contrast, readout_s, t2_star_s, t2_s)):
-        if not (math.isfinite(value) and value > 0):
-            raise MagnetometryError(f"{name} must be finite and positive, got {value!r}")
+        require(MagnetometryError, name, value, "finite and positive")
     prefactor = HBAR_J_S / (G_LANDE * MU_B_J_PER_T)
     eta_dc = prefactor / (contrast * (count_rate_hz * readout_s) ** 0.5) \
         / t2_star_s ** 0.5

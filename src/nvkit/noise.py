@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tables import require
+
 
 class NoiseError(ValueError):
     """Invalid noise specification; the message names the field."""
@@ -22,6 +24,7 @@ class NoiseSpec:
     kind 'gaussian': additive, standard deviation ``sigma`` per point.
     kind 'poisson': shot noise for ``counts`` expected counts per point at
     unit signal; the signal is scaled to counts, sampled, and rescaled.
+    ``seed`` is a nonnegative integer, as numpy's generator requires.
     """
 
     kind: str = "gaussian"
@@ -32,10 +35,10 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "poisson"):
             raise NoiseError(f"unknown noise kind {self.kind!r}")
-        for name in ("sigma", "counts"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise NoiseError(f"{name} must be finite and nonnegative, got {value!r}")
+        require(NoiseError, "sigma", self.sigma, "finite and nonnegative")
+        require(NoiseError, "counts", self.counts, "finite and nonnegative")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise NoiseError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.kind == "poisson" and self.counts <= 0:
             raise NoiseError("poisson noise requires counts > 0")
 

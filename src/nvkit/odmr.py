@@ -26,7 +26,7 @@ from .spin_model import (
     project_field,
     unmerged_lines,
 )
-from .tables import read_table, write_table
+from .tables import read_table, require, write_table
 
 CW_FWHM_MHZ = 8.0
 PULSED_FWHM_MHZ = 0.7
@@ -34,11 +34,6 @@ PULSED_FWHM_MHZ = 0.7
 
 class OdmrError(ValueError):
     """Invalid ODMR input (bad grid, degenerate spectrum, bad file)."""
-
-
-def _require_finite(name: str, value) -> None:
-    if not np.isfinite(value).all():
-        raise OdmrError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -58,12 +53,11 @@ class OdmrSpectrum:
             raise OdmrError("freqs, signal and sigma must have equal length")
         if len(freqs) < 8:
             raise OdmrError("spectrum needs at least 8 points")
-        if not (np.isfinite(freqs).all() and (np.diff(freqs) > 0).all()):
-            raise OdmrError("frequency grid must be finite and strictly increasing")
-        if not (np.isfinite(signal).all() and np.isfinite(sigma).all()):
-            raise OdmrError("signal and sigma must be finite")
-        if (sigma < 0).any():
-            raise OdmrError("sigma values must be nonnegative")
+        require(OdmrError, "frequency grid", freqs)
+        if not (np.diff(freqs) > 0).all():
+            raise OdmrError("frequency grid must be strictly increasing")
+        require(OdmrError, "signal", signal)
+        require(OdmrError, "sigma", sigma, "finite and nonnegative")
         if self.mode not in ("cw", "pulsed"):
             raise OdmrError(f"unknown mode {self.mode!r}")
         object.__setattr__(self, "freqs", freqs)
@@ -86,13 +80,10 @@ class LineShapeModel:
         fwhms = np.atleast_1d(np.asarray(self.fwhms, dtype=float))
         if not (len(centers) == len(contrasts) == len(fwhms)):
             raise OdmrError("centers, contrasts and fwhms must have equal length")
-        # one test for all four; a sum that overflows only sends it to the named checks
-        if not np.isfinite((centers + contrasts + fwhms).sum() + self.baseline).all():
-            for name, values in (("centers", centers), ("contrasts", contrasts),
-                                 ("fwhms", fwhms), ("baseline", self.baseline)):
-                _require_finite(name, values)
-        if (fwhms <= 0).any():
-            raise OdmrError("fwhms must be positive")
+        require(OdmrError, "centers", centers)
+        require(OdmrError, "contrasts", contrasts)
+        require(OdmrError, "fwhms", fwhms, "finite and positive")
+        require(OdmrError, "baseline", self.baseline)
         if (contrasts < 0).any() or (contrasts >= 1).any():
             raise OdmrError("contrasts must lie in [0, 1)")
         object.__setattr__(self, "centers", centers)
@@ -190,22 +181,14 @@ def synthesize_spectrum(
     eight dips of a bare-spin ensemble at zero field.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise OdmrError("frequency grid is empty")
-    if not (np.diff(grid) > 0).all():
-        raise OdmrError("frequency grid must be strictly increasing")
+    require(OdmrError, "frequency grid", grid)
     if mode not in ("cw", "pulsed"):
         raise OdmrError(f"unknown mode {mode!r}; expected 'cw' or 'pulsed'")
-    _require_finite("contrast", contrast)
-    if contrast < 0:
-        raise OdmrError(f"contrast must be nonnegative, got {contrast!r}")
-    _require_finite("baseline", baseline)
-    _require_finite("branch_weights", branch_weights)
-    if min(branch_weights) < 0:
-        raise OdmrError(f"branch_weights must be nonnegative, got {branch_weights!r}")
-    if fwhm is not None and not (np.isfinite(fwhm) and fwhm > 0):
-        raise OdmrError(f"fwhm must be finite and positive, got {fwhm!r}")
+    require(OdmrError, "contrast", contrast, "finite and nonnegative")
+    require(OdmrError, "baseline", baseline)
+    require(OdmrError, "branch_weights", branch_weights, "finite and nonnegative")
     width = fwhm if fwhm is not None else (CW_FWHM_MHZ if mode == "cw" else PULSED_FWHM_MHZ)
+    require(OdmrError, "fwhm", width, "finite and positive")
 
     if unmerged is None:
         unmerged = orientation_lines(system, env, ensemble)
@@ -375,7 +358,7 @@ def fit_spectrum(
     summary uses the mean and spread of the outermost fitted centers
     relative to ``d_reference``, which must be finite.
     """
-    _require_finite("d_reference", d_reference)
+    require(OdmrError, "d_reference", d_reference)
     if n_dips < 1:
         raise OdmrError("n_dips must be at least 1")
     if np.ptp(spectrum.signal) <= 0:
@@ -432,7 +415,7 @@ def fit_spectrum(
 def invert_shift_splitting(v_minus: float, v_plus: float, d: float):
     """Shift/splitting scalars from the two resonance frequencies."""
     for name, value in (("v_minus", v_minus), ("v_plus", v_plus), ("d", d)):
-        _require_finite(name, value)
+        require(OdmrError, name, value)
     if v_plus < v_minus:
         raise OdmrError("v_plus must be >= v_minus")
     return 0.5 * (v_plus + v_minus) - d, 0.25 * (v_plus - v_minus)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .fitting import FitError, levenberg_marquardt, median
 from .noise import NoiseSpec, apply_noise
-from .tables import read_table, write_table
+from .tables import read_table, require, write_table
 
 TAU_BOUNDS_NS = (0.01, 1e4)
 AMPLITUDE_BOUNDS = (0.0, 5.0)
@@ -43,11 +43,9 @@ class G2Curve:
             raise PhotonStatsError("taus, g2 and sigma must have equal length")
         if len(taus) == 0:
             raise PhotonStatsError("g2 curve needs at least one point")
-        for name, values in (("taus", taus), ("g2", g2), ("sigma", sigma)):
-            if not np.all(np.isfinite(values)):
-                raise PhotonStatsError(f"{name} values must be finite")
-        if np.any(sigma < 0):
-            raise PhotonStatsError("sigma values must be nonnegative")
+        require(PhotonStatsError, "taus", taus)
+        require(PhotonStatsError, "g2", g2)
+        require(PhotonStatsError, "sigma", sigma, "finite and nonnegative")
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "g2", g2)
         object.__setattr__(self, "sigma", sigma)
@@ -88,8 +86,15 @@ def g2_model(tau, params) -> np.ndarray:
 
 
 def synthesize_g2(taus, params, noise: NoiseSpec | None = None) -> G2Curve:
-    """Model curve on the given delay grid, optionally with seeded noise."""
-    clean = g2_model(taus, params)
+    """Model curve on the given delay grid, optionally with seeded noise.
+
+    The parameters must be finite, and the three time constants positive.
+    """
+    p = params.as_array() if isinstance(params, G2FitResult) else np.asarray(params, float)
+    require(PhotonStatsError, "params", p)
+    for name, value in zip(("tau1", "tau2", "tau3"), p[2::2]):
+        require(PhotonStatsError, f"params {name}", value, "finite and positive")
+    clean = g2_model(taus, p)
     values, sigma = apply_noise(clean, noise)
     return G2Curve(taus=np.asarray(taus, dtype=float), g2=values, sigma=sigma)
 
@@ -225,8 +230,8 @@ class SaturationFit:
     converged: bool = True
 
     def __post_init__(self):
-        if self.c_sat <= 0 or self.p_sat <= 0:
-            raise PhotonStatsError("c_sat and p_sat must be positive")
+        require(PhotonStatsError, "c_sat", self.c_sat, "finite and positive")
+        require(PhotonStatsError, "p_sat", self.p_sat, "finite and positive")
 
     @property
     def k_linear(self) -> float:
@@ -236,10 +241,7 @@ class SaturationFit:
 def saturation_model(power, fit: SaturationFit):
     """Detected PL rate (counts/s) at excitation power (mW)."""
     p = np.asarray(power, dtype=float)
-    if not np.all(np.isfinite(p)):
-        raise PhotonStatsError("powers must be finite")
-    if np.any(p < 0):
-        raise PhotonStatsError("powers must be nonnegative")
+    require(PhotonStatsError, "powers", p, "finite and nonnegative")
     return fit.c_sat * p / (p + fit.p_sat)
 
 
@@ -247,15 +249,11 @@ def fit_saturation(powers, counts) -> SaturationFit:
     """Fit the saturation curve to (power, counts) samples."""
     powers = np.asarray(powers, dtype=float)
     counts = np.asarray(counts, dtype=float)
-    if not np.all(np.isfinite(powers)):
-        raise PhotonStatsError("powers must be finite")
+    require(PhotonStatsError, "powers", powers, "finite and positive")
     # np.unique would import numpy.ma, about 20 ms per CLI process
     if np.count_nonzero(np.diff(np.sort(powers, axis=None))) < 2:
         raise PhotonStatsError("need at least 3 distinct powers")
-    if np.any(powers <= 0):
-        raise PhotonStatsError("powers must be positive")
-    if not np.all(np.isfinite(counts)):
-        raise PhotonStatsError("counts must be finite")
+    require(PhotonStatsError, "counts", counts)
     if counts.max() <= 0:
         raise PhotonStatsError("counts must have a positive maximum")
 

@@ -32,17 +32,13 @@ from .constants import (
     GAMMA_E_MHZ_PER_MT,
     NV_AXES,
 )
+from .tables import require
 
 MAX_DIMENSION = 18
 
 
 class SpinModelError(ValueError):
     """Invalid spin-system input (dimension overflow, bad field, ...)."""
-
-
-def _require_finite(name: str, value) -> None:
-    if not np.isfinite(value).all():
-        raise SpinModelError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -88,8 +84,8 @@ class HyperfineCoupling:
     a_perp: float = 0.0
 
     def __post_init__(self):
-        _require_finite("hyperfine a_parallel", self.a_parallel)
-        _require_finite("hyperfine a_perp", self.a_perp)
+        require(SpinModelError, "hyperfine a_parallel", self.a_parallel)
+        require(SpinModelError, "hyperfine a_perp", self.a_perp)
 
     @property
     def dimension(self) -> int:
@@ -116,7 +112,7 @@ class NvOrientation:
         axis = np.asarray(self.axis, dtype=float)
         if axis.shape != (3,):
             raise SpinModelError(f"NV axis must be a 3-vector, got shape {axis.shape}")
-        _require_finite("NV axis", axis)
+        require(SpinModelError, "NV axis", axis)
         norm = np.linalg.norm(axis)
         if not 0.0 < norm < np.inf:
             raise SpinModelError(f"NV axis must have a finite nonzero norm, got {norm}")
@@ -155,12 +151,9 @@ class FieldEnvironment:
     splitting_delta: float = 0.0
 
     def __post_init__(self):
-        b = np.asarray(self.b_lab, dtype=float)
-        if b.shape != (3,) or not np.isfinite(b).all():
-            raise SpinModelError("b_lab must be a finite 3-vector in mT")
-        _require_finite("shift_xi", self.shift_xi)
-        _require_finite("splitting_delta", self.splitting_delta)
-        object.__setattr__(self, "b_lab", b)
+        object.__setattr__(self, "b_lab", _field_vector(self.b_lab))
+        require(SpinModelError, "shift_xi", self.shift_xi)
+        require(SpinModelError, "splitting_delta", self.splitting_delta)
 
 
 @dataclass(frozen=True)
@@ -173,10 +166,8 @@ class SpinSystem:
     orientation: NvOrientation = field(default_factory=lambda: NvOrientation(NV_AXES[0]))
 
     def __post_init__(self):
-        _require_finite("d_zfs", self.d_zfs)
-        _require_finite("gamma_e", self.gamma_e)
-        if self.d_zfs <= 0:
-            raise SpinModelError("zero-field splitting must be positive")
+        require(SpinModelError, "d_zfs", self.d_zfs, "finite and positive")
+        require(SpinModelError, "gamma_e", self.gamma_e)
         object.__setattr__(self, "nuclei", tuple(self.nuclei))
         if self.dimension > MAX_DIMENSION:
             raise SpinModelError(
@@ -193,7 +184,12 @@ class SpinSystem:
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    """Hermitian matrix in MHz with its Hilbert-space dimension."""
+    """Hermitian matrix in MHz with its Hilbert-space dimension.
+
+    The entries are checked once, here: they must be finite, and no entry
+    of h - h^H may exceed 1e-9 times the Frobenius norm of h, a rule without
+    an absolute scale. :func:`eigenlevels` trusts a matrix built this way.
+    """
 
     entries: np.ndarray
     dimension: int
@@ -202,10 +198,20 @@ class HamiltonianMatrix:
         h = np.asarray(self.entries, dtype=complex)
         if h.shape != (self.dimension, self.dimension):
             raise SpinModelError("matrix shape does not match declared dimension")
-        scale = max(np.max(np.abs(h)), 1.0)
+        require(SpinModelError, "entries", h)
+        scale = max(np.linalg.norm(h), 1e-300)
         if np.max(np.abs(h - h.conj().T)) > 1e-9 * scale:
             raise SpinModelError("matrix is not Hermitian within tolerance")
         object.__setattr__(self, "entries", h)
+
+
+def _field_vector(b_lab) -> np.ndarray:
+    """``b_lab`` as a float array, checked to be a finite 3-vector in mT."""
+    b = np.asarray(b_lab, dtype=float)
+    if b.shape != (3,):
+        raise SpinModelError(f"b_lab must be a 3-vector in mT, got shape {b.shape}")
+    require(SpinModelError, "b_lab", b)
+    return b
 
 
 def project_field(b_lab, orientations=None):
@@ -214,9 +220,7 @@ def project_field(b_lab, orientations=None):
     Returns a list of (axial, transverse) pairs in mT, in the fixed
     orientation order of :func:`nv_orientations`.
     """
-    b = np.asarray(b_lab, dtype=float)
-    if b.shape != (3,) or not np.isfinite(b).all():
-        raise SpinModelError("b_lab must be a finite 3-vector in mT")
+    b = _field_vector(b_lab)
     if orientations is None:
         orientations = NV_ORIENTATIONS
     out = []
@@ -298,15 +302,14 @@ def eigenlevels(h: HamiltonianMatrix | np.ndarray):
     LAPACK's Hermitian solver (``np.linalg.eigh``) on the lower triangle;
     eigenvector ``k`` is column ``k``. Within a degenerate eigenvalue the
     basis of the eigenspace is whatever LAPACK returns.
+
+    A raw array is wrapped in :class:`HamiltonianMatrix`, which checks it; a
+    ``HamiltonianMatrix`` is trusted as handed in, so each solve runs the
+    Hermiticity test once. Entries written after construction are not re-checked.
     """
-    a = h.entries if isinstance(h, HamiltonianMatrix) else np.asarray(h, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise SpinModelError("eigenlevels requires a square matrix")
-    scale = max(np.linalg.norm(a), 1e-300)
-    if np.max(np.abs(a - a.conj().T)) > 1e-9 * scale:
-        raise SpinModelError("eigenlevels requires a Hermitian matrix")
-    return np.linalg.eigh(a)
+    if not isinstance(h, HamiltonianMatrix):
+        h = HamiltonianMatrix(h, len(h))
+    return np.linalg.eigh(h.entries)
 
 
 def ms0_projector(system: SpinSystem) -> np.ndarray:

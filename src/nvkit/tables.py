@@ -1,15 +1,46 @@
-"""Whitespace-separated text tables: the reader and writer behind every file format.
+"""Whitespace-separated text tables, and the one finite/sign check of every input.
 
 A table may open with a header `# <kind> v1 key=value ...`. Data rows hold
 whitespace-separated numbers; blank lines and lines starting with `#` are
 skipped. Every value must be finite, and every error names `path:line`, except
 a file without data rows, which has no line to name.
 Writers emit each value as `repr(float(v))`, so a load round-trips bit-identically.
+
+:func:`require` is the finite/sign check that every module applies to its
+dataclass fields and function arguments, raising the module's own error.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+_SIGN_TESTS = {"finite": None, "finite and positive": lambda x: x > 0,
+               "finite and nonnegative": lambda x: x >= 0}
+
+
+def require(error, name, value, rule="finite"):
+    """Raise ``error`` naming ``name`` unless every element of ``value`` obeys ``rule``.
+
+    ``rule`` is "finite", "finite and positive" or "finite and nonnegative".
+    A non-finite value gives "<name> must be <rule>"; a finite value of the
+    wrong sign gives that and "<name> must be positive" (or "nonnegative").
+    An array is reported by its first offending element and that index.
+    """
+    sign = _SIGN_TESTS[rule]
+    if isinstance(value, float):  # a float scalar skips numpy's per-call overhead
+        if math.isfinite(value) and (sign is None or sign(value)):
+            return
+    elif np.isfinite(a := np.asarray(value)).all() and (sign is None or sign(a).all()):
+        return
+    a = np.asarray(value)
+    wrong_sign = np.isfinite(a).all()
+    ok = sign(a) if wrong_sign else np.isfinite(a)
+    also = f"; {name} must be {rule.split()[-1]}" if wrong_sign else ""
+    where = np.unravel_index(np.argmin(ok), a.shape)  # the first offending element
+    at = f" at index {where[0] if a.ndim == 1 else tuple(map(int, where))}" if a.ndim else ""
+    raise error(f"{name} must be {rule}{also}, got {a[where].item()!r}{at}")
 
 
 def parse_header(path, line, kind, keys, error):

@@ -357,6 +357,26 @@ def test_nonfinite_d_reference_exits_1(data_dir, d_ref):
     assert "# nvkit v1" not in result.stdout
 
 
+def test_negative_seed_exits_1_only_with_noise():
+    result = run_cli(["seq-sim", "--kind", "fid", "--noise-sigma", "0.01", "--seed", "-1"])
+    assert result.returncode == 1
+    assert "seed must be a nonnegative integer" in result.stderr
+    assert "# nvkit v1" not in result.stdout
+    # without noise the seed draws nothing and is only echoed in the record
+    result = run_cli(["seq-sim", "--kind", "fid", "--seed", "-1"])
+    assert result.returncode == 0
+    assert "seed = -1" in result.stdout
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_freq_extract_below_one_component_exits_1(data_dir, count):
+    result = run_cli(["freq-extract", "--in", str(data_dir / "fid.txt"),
+                      "--max-components", count])
+    assert result.returncode == 1
+    assert "max_components must be at least 1" in result.stderr
+    assert "# nvkit v1" not in result.stdout
+
+
 def test_nonfinite_larmor_frequency_exits_1():
     result = run_cli(["seq-sim", "--kind", "hahn", "--larmor-khz", "nan", "--points", "11"])
     assert result.returncode == 1

@@ -113,6 +113,17 @@ def test_decay_curve_rejects_infinite_time():
         DecayCurve(times, np.ones(8), np.full(8, 0.1))
 
 
+def test_decay_curve_rejects_negative_sigma():
+    sigma = np.full(8, 0.1)
+    sigma[3] = -0.1
+    with pytest.raises(DynamicsError, match="sigma must be finite and nonnegative"):
+        DecayCurve(np.arange(8.0), np.ones(8), sigma)
+    with pytest.raises(DynamicsError, match="sigma"):
+        DecayCurve(np.arange(8.0), np.ones(8), -np.ones(8))
+    sigma[3] = 0.0  # zero sigma is accepted; fit_decay_envelope gives it weight 1
+    assert DecayCurve(np.arange(8.0), np.ones(8), sigma).sigma[3] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # propagation
 
@@ -545,6 +556,16 @@ def test_extract_requires_enough_points():
     curve = DecayCurve(times, np.cos(times), np.ones(times.size))
     with pytest.raises(DynamicsError):
         extract_frequencies(curve, 5)
+
+
+@pytest.mark.parametrize("max_components", [0, -1])
+def test_extract_rejects_fewer_than_one_component(max_components):
+    times = np.linspace(0.0, 10.0, 400)
+    signal = 0.5 + 0.3 * np.cos(2 * np.pi * 1.0 * times) + 0.2 * np.cos(2 * np.pi * 2.5 * times)
+    curve = DecayCurve(times, signal, np.ones(times.size))
+    assert len(extract_frequencies(curve, 2)) == 2
+    with pytest.raises(DynamicsError, match="max_components must be at least 1"):
+        extract_frequencies(curve, max_components)
 
 
 def test_extract_resamples_nonuniform_grid():

@@ -15,6 +15,18 @@ def test_noise_spec_rejects_bad_field_by_name(field, value):
         NoiseSpec("gaussian", **{field: value})
 
 
+@pytest.mark.parametrize("seed", [-1, np.int64(-2), 1.5, 2.0, float("nan"), "3"])
+def test_noise_spec_rejects_bad_seed_by_name(seed):
+    with pytest.raises(NoiseError, match="^seed must be a nonnegative integer"):
+        NoiseSpec("gaussian", sigma=0.01, seed=seed)
+
+
+def test_noise_spec_accepts_integer_seeds():
+    for seed in (0, 7, np.int64(7), 2 ** 40):
+        noisy, _ = apply_noise(np.zeros(4), NoiseSpec("gaussian", sigma=0.1, seed=seed))
+        assert np.isfinite(noisy).all()
+
+
 def test_noise_spec_typed_errors():
     assert issubclass(NoiseError, ValueError)
     with pytest.raises(NoiseError, match="unknown noise kind"):

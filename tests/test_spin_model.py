@@ -10,6 +10,7 @@ from nvkit import spin_model
 from nvkit.constants import GAMMA_E_MHZ_PER_MT
 from nvkit.spin_model import (
     FieldEnvironment,
+    HamiltonianMatrix,
     HyperfineCoupling,
     NuclearSpecies,
     NvOrientation,
@@ -131,6 +132,37 @@ def test_eigenlevels_random_6x6_vs_oracle():
 def test_eigenlevels_rejects_non_hermitian():
     with pytest.raises(SpinModelError):
         eigenlevels(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+def test_hermiticity_rule_is_relative_to_the_matrix_norm():
+    tiny = np.array([[0.0, 1e-10], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(SpinModelError, match="not Hermitian"):
+        HamiltonianMatrix(tiny, 2)
+    with pytest.raises(SpinModelError, match="not Hermitian"):
+        eigenlevels(tiny)
+    # an asymmetry of 1e-12 relative to the norm passes at any scale
+    for scale in (1e-10, 1.0, 1e10):
+        near = scale * np.array([[1.0, 1e-12], [0.0, 2.0]], dtype=complex)
+        assert np.allclose(eigenlevels(near)[0], [scale, 2.0 * scale])
+
+
+def test_each_eigensolve_checks_hermiticity_once(monkeypatch):
+    checks = []
+    check = HamiltonianMatrix.__post_init__
+    monkeypatch.setattr(HamiltonianMatrix, "__post_init__",
+                        lambda self: checks.append(check(self)))
+    system = SpinSystem(nuclei=(HyperfineCoupling.nitrogen14(),))
+    env = FieldEnvironment(b_lab=np.array([1.0, 2.0, 3.0]))
+    for solve in (lambda: eigenlevels(build_hamiltonian(system, env)),
+                  lambda: eigenlevels(np.diag([1.0, 2.0]).astype(complex)),
+                  lambda: transition_lines(system, env)):
+        checks.clear()
+        solve()
+        assert len(checks) == 1
+    # a HamiltonianMatrix is trusted as handed in: later edits are not checked again
+    h = build_hamiltonian(system, env)
+    h.entries[0, 1] += 1.0
+    eigenlevels(h)
 
 
 # ---------------------------------------------------------------------------
