@@ -178,9 +178,9 @@ def cmd_odmr_fit(args):
         "xi_mhz": result.xi_fit,
         "delta_mhz": result.delta_fit,
         "delta_half_separation_mhz": result.delta_half_separation,
-        "residual_norm": result.residual_norm,
-        "iterations": result.iterations,
-        "converged": result.converged,
+        "residual_norm": result.report.residual_norm,
+        "iterations": result.report.iterations,
+        "converged": result.report.converged,
     }
     return record
 
@@ -239,7 +239,7 @@ def cmd_decay_fit(args):
         "n_stretch": fit.n_stretch,
         "amplitude": fit.amplitude,
         "baseline": fit.baseline,
-        "converged": fit.converged,
+        "converged": fit.report.converged,
     }
     if fit.frequencies:
         record["frequencies_mhz"] = list(fit.frequencies)
@@ -265,8 +265,8 @@ def cmd_g2_fit(args):
         "tau0_ns": fit.tau0, "c1": fit.c1, "tau1_ns": fit.tau1,
         "c2": fit.c2, "tau2_ns": fit.tau2, "c3": fit.c3, "tau3_ns": fit.tau3,
         "g2_at_tau0": float(photon_stats.g2_model(fit.tau0, fit)),
-        "residual_norm": fit.residual_norm,
-        "converged": fit.converged,
+        "residual_norm": fit.report.residual_norm,
+        "converged": fit.report.converged,
     }
 
 
@@ -278,7 +278,7 @@ def cmd_sat_fit(args):
         "c_sat_per_s": fit.c_sat,
         "p_sat_mw": fit.p_sat,
         "k_linear_per_s_per_mw": fit.k_linear,
-        "converged": fit.converged,
+        "converged": fit.report.converged,
     }
 
 
@@ -343,7 +343,7 @@ def cmd_map_slice(args):
         "center_um": fit.center,
         "fwhm_um": fit.fwhm,
         "baseline": fit.baseline,
-        "converged": fit.converged,
+        "converged": fit.report.converged,
     }
 
 

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .constants import CARBON_DENSITY_PER_CM3
-from .fitting import FitError, levenberg_marquardt
+from .fitting import FitError, FitResult, levenberg_marquardt
 from .tables import parse_header, parse_rows, require, write_table
 
 GAUSS_INTEGRAL_PER_FWHM = float(np.sqrt(np.pi / (4.0 * np.log(2.0))))
@@ -67,8 +67,7 @@ class GaussianSliceFit:
     center: float
     fwhm: float
     baseline: float
-    errors: np.ndarray | None = None
-    converged: bool = True
+    report: FitResult | None = None  # params in field order; None when built by hand
 
     def __post_init__(self):
         require(ConfocalError, "amplitude", self.amplitude, "finite and nonnegative")
@@ -166,10 +165,7 @@ def fit_gaussian_slice(plmap: PLMap, axis: int, index,
     bounds = [(0.0, np.inf), (coords[0] - span, coords[-1] + span),
               (1e-6 * span, 10.0 * span), (-np.inf, np.inf)]
     fit = levenberg_marquardt(residuals, x0, bounds=bounds)
-    amp, center, fwhm, baseline = fit.params
-    return GaussianSliceFit(amplitude=float(amp), center=float(center),
-                            fwhm=float(fwhm), baseline=float(baseline),
-                            errors=fit.stderr, converged=fit.converged)
+    return GaussianSliceFit(*fit.params.tolist(), report=fit)
 
 
 def estimate_density(c_ensemble: float, c_single: float, psf: PsfModel,

@@ -17,12 +17,12 @@ plain exponentials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
-from .fitting import FitError, levenberg_marquardt, median
+from .fitting import FitError, FitResult, levenberg_marquardt, median, sigma_weights
 from .noise import NoiseSpec, apply_noise
 from .spin_model import (
     FieldEnvironment,
@@ -183,15 +183,19 @@ class DecayModel(Enum):
 
 @dataclass
 class EnvelopeFit:
-    """Stretched-exponential envelope parameters extracted from a curve."""
+    """Stretched-exponential envelope parameters extracted from a curve.
+
+    report.params holds (baseline, amplitude, t_coh, n_stretch) and then,
+    for STRETCHED_TIMES_OSC, one (cos, sin) quadrature pair per frequency;
+    SINGLE_EXP fixes n_stretch = 1 and fits only the first three.
+    """
 
     t_coh: float
     n_stretch: float
     amplitude: float
     baseline: float
-    errors: np.ndarray
-    converged: bool
     frequencies: tuple = ()
+    report: FitResult | None = None
 
     def __post_init__(self):
         require(DynamicsError, "t_coh", self.t_coh, "finite and positive")
@@ -203,7 +207,6 @@ class EnvelopeFit:
 class SequenceResult:
     population: float
     signal: float
-    trajectory: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +277,6 @@ def propagate_sequence(
     seq: PulseSequence,
     coh: CoherenceParams | None = None,
     readout_contrast: float = READOUT_CONTRAST_SINGLE,
-    return_trajectory: bool = False,
     return_state: bool = False,
 ):
     """Run a pulse sequence and return the ms=0 population at readout.
@@ -294,30 +296,21 @@ def propagate_sequence(
         t_rabi, t_free, t1_us = coh.t_rho_rabi, coh.t2_star, coh.t1 * 1000.0
 
     rho = None
-    t_elapsed = 0.0
-    trajectory = []
     result = None
     for element in seq.elements:
         if isinstance(element, LaserInit):
             rho = frame.initial_state()
-            t_elapsed += element.duration
         elif isinstance(element, MwPulse):
             key = (element.rabi_freq, element.phase)
             if key not in pulses:
                 pulses[key] = eigenlevels(frame.hamiltonian(*key))
             rho = _evolve(rho, pulses[key], element.duration, t_rabi, t1_us)
-            t_elapsed += element.duration
         elif isinstance(element, Wait):
             rho = _evolve(rho, free, element.duration, t_free, t1_us)
-            t_elapsed += element.duration
         else:  # Readout
             population = frame.ms0_population(rho)
             signal = 1.0 - readout_contrast * (1.0 - population)
             result = SequenceResult(population=population, signal=signal)
-        if return_trajectory and rho is not None:
-            trajectory.append((t_elapsed, frame.ms0_population(rho)))
-    if return_trajectory:
-        result.trajectory = trajectory
     if return_state:
         return result, rho
     return result
@@ -480,7 +473,7 @@ def fit_decay_envelope(curve: DecayCurve, model: DecayModel,
     if np.ptp(curve.signal) <= 0:
         raise FitError("signal is constant; nothing to fit")
     times, signal = curve.times, curve.signal
-    weights = 1.0 / np.where(curve.sigma > 0, curve.sigma, 1.0)
+    weights = sigma_weights(curve.sigma)
     t_scale = times[-1] - times[0]
 
     baseline0 = float(signal[-max(len(signal) // 8, 1):].mean())
@@ -502,9 +495,6 @@ def fit_decay_envelope(curve: DecayCurve, model: DecayModel,
             return (b + a * envelope(times, t_coh, 1.0) - signal) * weights
         x0 = [baseline0, amp0, t0]
         bounds = [(-np.inf, np.inf), (-np.inf, np.inf), (1e-9 * t_scale, 1e6 * t_scale)]
-        fit = levenberg_marquardt(residuals, x0, bounds=bounds)
-        b, a, t_coh = fit.params
-        n_fit, err = 1.0, fit.stderr
     elif model is DecayModel.STRETCHED:
         def residuals(p):
             b, a, t_coh, n = p
@@ -512,9 +502,6 @@ def fit_decay_envelope(curve: DecayCurve, model: DecayModel,
         x0 = [baseline0, amp0, t0, 1.5]
         bounds = [(-np.inf, np.inf), (-np.inf, np.inf),
                   (1e-9 * t_scale, 1e6 * t_scale), (0.5, 3.0)]
-        fit = levenberg_marquardt(residuals, x0, bounds=bounds)
-        b, a, t_coh, n_fit = fit.params
-        err = fit.stderr
     else:
         k = max(len(freqs), 1)
         f_arr = np.array(freqs) if freqs else np.array([0.0])
@@ -533,18 +520,18 @@ def fit_decay_envelope(curve: DecayCurve, model: DecayModel,
         bounds = [(-np.inf, np.inf), (-np.inf, np.inf),
                   (1e-9 * t_scale, 1e6 * t_scale), (0.5, 3.0)]
         bounds += [(-np.inf, np.inf)] * (2 * k)
-        fit = levenberg_marquardt(residuals, x0, bounds=bounds)
-        b, a, t_coh, n_fit = fit.params[:4]
-        err = fit.stderr
+
+    fit = levenberg_marquardt(residuals, x0, bounds=bounds)
+    b, a, t_coh = fit.params[:3]
+    n_fit = 1.0 if model is DecayModel.SINGLE_EXP else fit.params[3]
 
     return EnvelopeFit(
         t_coh=float(t_coh),
         n_stretch=float(n_fit),
         amplitude=float(a),
         baseline=float(b),
-        errors=err,
-        converged=fit.converged,
         frequencies=freqs,
+        report=fit,
     )
 
 

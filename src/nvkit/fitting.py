@@ -1,4 +1,4 @@
-"""Shared nonlinear least-squares machinery.
+"""Shared nonlinear least-squares machinery and the one fit report.
 
 All fitters in the package go through :func:`levenberg_marquardt`, which
 minimizes the sum of squared weighted residuals with multiplicative damping.
@@ -6,8 +6,16 @@ Accepted steps never increase the residual norm; the damping factor grows
 until a downhill step is found or the step collapses.
 
 Convergence is declared when the relative change of the squared residual
-norm between accepted steps drops below ``rtol`` (default 1e-10) or the
-infinity norm of the gradient J^T r drops below ``gtol`` (default 1e-8).
+norm between accepted steps drops below ``RTOL`` or the infinity norm of the
+gradient J^T r drops below ``GTOL``. A relative-change stop on a step that
+the bounds clipped is reported as not converged: the box, not a minimum,
+ended that step.
+
+Every fitter's result (``OdmrFitResult``, ``EnvelopeFit``, ``G2FitResult``,
+``SaturationFit``, ``GaussianSliceFit``) carries the solver's
+:class:`FitResult` as its ``report``, with ``report.params`` in the order
+that result type documents and ``report.stderr`` aligned with it. Residuals
+are weighted by :func:`sigma_weights`.
 
 ``odmr.fit_spectrum`` and ``photon_stats.fit_g2`` pass closed-form
 Jacobians. ``dynamics.fit_decay_envelope``, ``dynamics.extract_frequencies``,
@@ -26,6 +34,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+MAX_ITER = 200   # iterations before the solver gives up
+RTOL = 1e-10     # relative change of the squared residual norm
+GTOL = 1e-8      # infinity norm of the gradient J^T r
+LAM0 = 1e-3      # initial damping factor
+
 
 class FitError(ValueError):
     """Raised for structurally unusable fit input (e.g. constant data)."""
@@ -33,11 +46,14 @@ class FitError(ValueError):
 
 @dataclass
 class FitResult:
-    """Outcome of a least-squares minimization.
+    """Outcome of a least-squares minimization, and the report of every fitter.
 
-    params and stderr are aligned; stderr comes from the diagonal of
-    (J^T J)^-1 scaled by the reduced chi-square at the solution.
-    cost_history holds the squared residual norm after every accepted step.
+    params and stderr are aligned: ``stderr[k]`` is the error of ``params[k]``,
+    also after a fitter reorders them. stderr comes from the diagonal of
+    (J^T J)^-1 scaled by the reduced chi-square at the solution. converged
+    is False when the solver ran out of iterations or damping, or when its
+    last step was clipped by the bounds. cost_history holds the squared
+    residual norm after every accepted step.
     """
 
     params: np.ndarray
@@ -78,21 +94,17 @@ def numeric_jacobian(residuals, x, bounds=None, rel_step=1e-6):
     return jac
 
 
+def sigma_weights(sigma) -> np.ndarray:
+    """Residual weights 1/sigma; a point with sigma = 0 gets weight 1."""
+    return 1.0 / np.where(sigma > 0, sigma, 1.0)
+
+
 def _clip_to_bounds(x, box):
     """``x`` projected into ``box``, the ``(2, n)`` array of lower and upper bounds."""
     return x if box is None else np.clip(x, box[0], box[1])
 
 
-def levenberg_marquardt(
-    residuals,
-    x0,
-    bounds=None,
-    jac=None,
-    max_iter=200,
-    rtol=1e-10,
-    gtol=1e-8,
-    lam0=1e-3,
-) -> FitResult:
+def levenberg_marquardt(residuals, x0, bounds=None, jac=None) -> FitResult:
     """Minimize ``sum(residuals(x)**2)`` starting from ``x0``.
 
     residuals: callable returning the weighted residual vector.
@@ -107,7 +119,7 @@ def levenberg_marquardt(
     if not np.isfinite(r).all():
         raise FitError("residuals are not finite at the starting point")
     cost = float(r @ r)
-    lam = lam0
+    lam = LAM0
     history = [cost]
     converged = False
     iterations = 0
@@ -117,10 +129,10 @@ def levenberg_marquardt(
             return np.asarray(jac(xv), dtype=float)
         return numeric_jacobian(residuals, xv, bounds)
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         jac_mat = jacobian_at(x)
         grad = jac_mat.T @ r
-        if np.abs(grad).max() < gtol:
+        if np.abs(grad).max() < GTOL:
             converged = True
             break
         jtj = jac_mat.T @ jac_mat
@@ -147,11 +159,12 @@ def levenberg_marquardt(
             break
 
         rel_change = (cost - cost_try) / max(cost, 1e-300)
-        x, r, cost = x_try, r_try, cost_try
+        x_prev, x, r, cost = x, x_try, r_try, cost_try
         history.append(cost)
         lam = max(lam * 0.3, 1e-12)
-        if rel_change < rtol:
-            converged = True
+        if rel_change < RTOL:
+            # a step that the box clipped stopped on a bound, not at a minimum
+            converged = np.array_equal(x, x_prev + step)
             break
 
     stderr = _standard_errors(jacobian_at(x), r)

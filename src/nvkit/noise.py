@@ -47,8 +47,10 @@ def apply_noise(signal: np.ndarray, spec: NoiseSpec | None):
     """Return (noisy_signal, per_point_sigma) for the given spec.
 
     With spec=None the signal is returned unchanged with unit weights.
+    The signal must be finite.
     """
     signal = np.asarray(signal, dtype=float)
+    require(NoiseError, "signal", signal)
     if spec is None:
         return signal.copy(), np.ones_like(signal)
     rng = np.random.default_rng(spec.seed)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import D_ZFS_MHZ
-from .fitting import levenberg_marquardt, percentile
+from .fitting import FitResult, levenberg_marquardt, percentile, sigma_weights
 from .noise import NoiseSpec, apply_noise
 from .spin_model import (
     NV_ORIENTATIONS,
@@ -110,7 +110,9 @@ class OdmrFitResult:
 
     delta_fit follows the two-line convention (quarter of the outer dip
     separation); delta_half_separation is the same separation divided by
-    two, for comparison with half-splitting reports.
+    two, for comparison with half-splitting reports. report.params holds
+    the baseline, then each dip's (center, contrast, FWHM) in the order of
+    ``model.centers``.
     """
 
     model: LineShapeModel
@@ -118,10 +120,7 @@ class OdmrFitResult:
     xi_fit: float
     delta_fit: float
     delta_half_separation: float
-    errors: np.ndarray
-    residual_norm: float
-    converged: bool
-    iterations: int
+    report: FitResult | None = None
 
 
 def orientation_lines(system: SpinSystem, env: FieldEnvironment, ensemble: bool = False):
@@ -350,8 +349,8 @@ def fit_spectrum(
 
     Residuals are weighted by 1/sigma; a point with sigma = 0 gets weight 1.
     The solver gets the closed-form Jacobian of the weighted residual in the
-    baseline and each dip's center, contrast and FWHM; the reported errors
-    come from the same Jacobian at the solution. The residual and the
+    baseline and each dip's center, contrast and FWHM; ``report.stderr``
+    comes from the same Jacobian at the solution. The residual and the
     Jacobian share the per-dip terms of :func:`_dip_terms`: the Jacobian
     reuses those of the last residual call when it is asked for the same
     point object, which is how the solver calls it. The shift/splitting
@@ -368,7 +367,7 @@ def fit_spectrum(
         raise OdmrError("initial model dip count does not match n_dips")
 
     freqs, signal = spectrum.freqs, spectrum.signal
-    weights = 1.0 / np.where(spectrum.sigma > 0, spectrum.sigma, 1.0)
+    weights = sigma_weights(spectrum.sigma)
     span = freqs[-1] - freqs[0]
     x0 = _pack(model0)
 
@@ -391,24 +390,19 @@ def fit_spectrum(
         ])
 
     fit = levenberg_marquardt(residuals, x0, bounds=bounds, jac=jacobian)
-    model = _unpack(fit.params)
+    dips = 1 + 3 * np.argsort(fit.params[1:].reshape(-1, 3)[:, 0])
+    order = np.concatenate([[0], (dips[:, None] + np.arange(3)).ravel()])
+    report = replace(fit, params=fit.params[order], stderr=fit.stderr[order])
+    model = _unpack(report.params)
 
     v_lo, v_hi = model.centers[0], model.centers[-1]
-    xi = 0.5 * (v_lo + v_hi) - d_reference
-    # reorder the errors to match the sorted model parameters
-    order = np.argsort(fit.params[1:].reshape(-1, 3)[:, 0])
-    err = np.concatenate([[fit.stderr[0]],
-                          fit.stderr[1:].reshape(-1, 3)[order].ravel()])
     return OdmrFitResult(
         model=model,
         d_fit=d_reference,
-        xi_fit=xi,
+        xi_fit=0.5 * (v_lo + v_hi) - d_reference,
         delta_fit=0.25 * (v_hi - v_lo),
         delta_half_separation=0.5 * (v_hi - v_lo),
-        errors=err,
-        residual_norm=fit.residual_norm,
-        converged=fit.converged,
-        iterations=fit.iterations,
+        report=report,
     )
 
 

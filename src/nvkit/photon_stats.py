@@ -11,11 +11,11 @@ background-corrected. PL saturation follows C(P) = c_sat*P/(P + p_sat).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fitting import FitError, levenberg_marquardt, median
+from .fitting import FitError, FitResult, levenberg_marquardt, median, sigma_weights
 from .noise import NoiseSpec, apply_noise
 from .tables import read_table, require, write_table
 
@@ -53,7 +53,7 @@ class G2Curve:
 
 @dataclass
 class G2FitResult:
-    """Antibunching/bunching parameters; tau1 < tau2 < tau3 by labeling."""
+    """Antibunching/bunching parameters; the bunching pair is labeled tau2 <= tau3."""
 
     tau0: float
     c1: float
@@ -62,10 +62,7 @@ class G2FitResult:
     tau2: float
     c3: float
     tau3: float
-    errors: np.ndarray
-    residual_norm: float
-    converged: bool
-    iterations: int
+    report: FitResult | None = None  # params in field order, as as_array gives them
 
     def as_array(self) -> np.ndarray:
         return np.array([self.tau0, self.c1, self.tau1,
@@ -88,15 +85,18 @@ def g2_model(tau, params) -> np.ndarray:
 def synthesize_g2(taus, params, noise: NoiseSpec | None = None) -> G2Curve:
     """Model curve on the given delay grid, optionally with seeded noise.
 
-    The parameters must be finite, and the three time constants positive.
+    The delays and parameters must be finite, and the three time constants
+    positive.
     """
+    taus = np.asarray(taus, dtype=float)
+    require(PhotonStatsError, "taus", taus)
     p = params.as_array() if isinstance(params, G2FitResult) else np.asarray(params, float)
     require(PhotonStatsError, "params", p)
     for name, value in zip(("tau1", "tau2", "tau3"), p[2::2]):
         require(PhotonStatsError, f"params {name}", value, "finite and positive")
     clean = g2_model(taus, p)
     values, sigma = apply_noise(clean, noise)
-    return G2Curve(taus=np.asarray(taus, dtype=float), g2=values, sigma=sigma)
+    return G2Curve(taus=taus, g2=values, sigma=sigma)
 
 
 def _g2_weighted_jacobian(taus, weights):
@@ -130,7 +130,7 @@ def _initial_g2_params(curve: G2Curve) -> np.ndarray:
     best triple with its solved amplitudes seeds the full fit.
     """
     taus, g2 = curve.taus, curve.g2
-    weights = 1.0 / np.where(curve.sigma > 0, curve.sigma, 1.0)
+    weights = sigma_weights(curve.sigma)
     noise = median(np.where(curve.sigma > 0, curve.sigma, 0.02))
     i_min = int(np.argmin(g2))
     tau0 = float(taus[i_min])
@@ -188,7 +188,7 @@ def fit_g2(curve: G2Curve, init=None) -> G2FitResult:
     if len(curve.taus) < 14:
         raise PhotonStatsError("need at least 14 points spanning the dip and shoulders")
     taus, g2 = curve.taus, curve.g2
-    weights = 1.0 / np.where(curve.sigma > 0, curve.sigma, 1.0)
+    weights = sigma_weights(curve.sigma)
     x0 = np.asarray(init, dtype=float) if init is not None else _initial_g2_params(curve)
 
     def residuals(p):
@@ -204,17 +204,10 @@ def fit_g2(curve: G2Curve, init=None) -> G2FitResult:
     fit = levenberg_marquardt(residuals, x0, bounds=bounds,
                               jac=_g2_weighted_jacobian(taus, weights))
 
-    tau0, c1, tau1, c2, tau2, c3, tau3 = fit.params
-    err = fit.stderr.copy()
-    if tau3 < tau2:  # bunching labels sorted by time constant
-        c2, tau2, c3, tau3 = c3, tau3, c2, tau2
-        err[[3, 4, 5, 6]] = err[[5, 6, 3, 4]]
-    return G2FitResult(
-        tau0=float(tau0), c1=float(c1), tau1=float(tau1),
-        c2=float(c2), tau2=float(tau2), c3=float(c3), tau3=float(tau3),
-        errors=err, residual_norm=fit.residual_norm,
-        converged=fit.converged, iterations=fit.iterations,
-    )
+    if fit.params[6] < fit.params[4]:  # bunching labels sorted by time constant
+        order = [0, 1, 2, 5, 6, 3, 4]
+        fit = replace(fit, params=fit.params[order], stderr=fit.stderr[order])
+    return G2FitResult(*fit.params.tolist(), report=fit)
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +219,7 @@ class SaturationFit:
 
     c_sat: float
     p_sat: float
-    errors: np.ndarray | None = None
-    converged: bool = True
+    report: FitResult | None = None  # params (c_sat, p_sat); None when built by hand
 
     def __post_init__(self):
         require(PhotonStatsError, "c_sat", self.c_sat, "finite and positive")
@@ -238,9 +230,9 @@ class SaturationFit:
         return self.c_sat / self.p_sat
 
 
-def saturation_model(power, fit: SaturationFit):
-    """Detected PL rate (counts/s) at excitation power (mW)."""
-    p = np.asarray(power, dtype=float)
+def saturation_model(powers, fit: SaturationFit):
+    """Detected PL rate (counts/s) at excitation powers (mW)."""
+    p = np.asarray(powers, dtype=float)
     require(PhotonStatsError, "powers", p, "finite and nonnegative")
     return fit.c_sat * p / (p + fit.p_sat)
 
@@ -270,8 +262,7 @@ def fit_saturation(powers, counts) -> SaturationFit:
     if min(fit.params) <= floor:
         raise FitError(f"saturation fit ended on its {floor:g} lower bound "
                        f"(c_sat={fit.params[0]:g}, p_sat={fit.params[1]:g})")
-    return SaturationFit(c_sat=float(fit.params[0]), p_sat=float(fit.params[1]),
-                         errors=fit.stderr, converged=fit.converged)
+    return SaturationFit(*fit.params.tolist(), report=fit)
 
 
 # ---------------------------------------------------------------------------

@@ -135,8 +135,7 @@ CASES = [
     *fields_of(EnvelopeFit, DynamicsError, dict(t_coh=2.0, n_stretch=1.5),
                dict(t_coh=NONPOSITIVE,
                     n_stretch=NONFINITE | st.floats(max_value=0.3) | st.floats(min_value=4.0)),
-               lambda **kw: EnvelopeFit(amplitude=0.5, baseline=0.5, errors=np.zeros(4),
-                                        converged=True, **kw)),
+               lambda **kw: EnvelopeFit(amplitude=0.5, baseline=0.5, **kw)),
     *arguments_of(simulate_fid, DynamicsError,
                   dict(detuning=0.5, times=TIMES, baseline=0.5, amplitude=0.5, stretch=1.0),
                   dict(times=NEGATIVE, stretch=NONPOSITIVE), SYSTEM, ENV, COH),

@@ -481,7 +481,7 @@ def test_stretched_fit_recovers_t2():
     curve = DecayCurve(times, noisy, np.full(times.size, 0.005), kind="hahn")
     fit = fit_decay_envelope(curve, DecayModel.STRETCHED)
     assert fit.t_coh == pytest.approx(494.0, rel=0.05)
-    assert fit.converged
+    assert fit.report.converged
 
 
 def test_pure_exponential_exact_recovery():

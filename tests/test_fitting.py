@@ -1,12 +1,26 @@
 """Contracts of the shared Levenberg-Marquardt fitter."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nvkit.fitting import FitError, levenberg_marquardt, median, numeric_jacobian, percentile
+from nvkit.confocal import PLMap, fit_gaussian_slice, gaussian_profile
+from nvkit.dynamics import DecayCurve, DecayModel, fit_decay_envelope
+from nvkit.fitting import (
+    FitError,
+    levenberg_marquardt,
+    median,
+    numeric_jacobian,
+    percentile,
+    sigma_weights,
+)
+from nvkit.noise import NoiseSpec
+from nvkit.odmr import LineShapeModel, OdmrSpectrum, fit_spectrum
+from nvkit.photon_stats import fit_g2, fit_saturation, synthesize_g2
 
 
 def quadratic_residuals(target):
@@ -50,6 +64,29 @@ def test_bounds_are_respected():
 
     fit = levenberg_marquardt(residuals, [1.0], bounds=[(0.0, 10.0)])
     assert fit.params[0] == 0.0  # pinned at the feasible boundary
+
+
+def test_stop_on_a_step_the_bounds_clipped_is_not_converged():
+    def residuals(x):
+        return np.array([x[0] + 5.0, 0.1 * x[0]])
+
+    pinned = levenberg_marquardt(residuals, [1.0], bounds=[(0.0, np.inf)])
+    assert pinned.params[0] == 0.0
+    assert not pinned.converged
+    free = levenberg_marquardt(residuals, [1.0], bounds=[(-10.0, np.inf)])
+    assert free.params[0] == pytest.approx(-5.0 / 1.01)
+    assert free.converged
+
+
+def test_solver_takes_only_bounds_and_jac_after_the_start_point():
+    # bench/tracing.py finds jac as the fourth positional argument
+    params = list(inspect.signature(levenberg_marquardt).parameters)
+    assert params == ["residuals", "x0", "bounds", "jac"]
+
+
+def test_sigma_weights_give_zero_sigma_unit_weight():
+    weights = sigma_weights(np.array([0.0, 0.5, 2.0, 0.0]))
+    np.testing.assert_array_equal(weights, [1.0, 2.0, 0.5, 1.0])
 
 
 def test_stderr_scales_with_noise():
@@ -133,3 +170,93 @@ def test_percentile_interpolates_from_the_upper_value_from_half_on():
     values = np.array([0.0, 0.1, 0.2, 0.3, 1.0 / 3.0])
     assert percentile(values, 100) == 1.0 / 3.0
     assert percentile(values, 0) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the fit report of every fitter
+
+ODMR_GRID = np.linspace(2835.0, 2905.0, 701)
+ODMR_TRUTH = LineShapeModel([2864.3, 2880.7], [0.02, 0.02], [8.0, 8.0])
+G2_TRUTH = np.array([0.275, 1.481, 9.48, 0.365, 114.0, 0.313, 312.0])
+G2_TAUS = np.linspace(-600.0, 600.0, 2401)
+
+
+def _odmr_fit(init=None):
+    rng = np.random.default_rng(3)
+    signal = ODMR_TRUTH.evaluate(ODMR_GRID) + rng.normal(0.0, 0.002, ODMR_GRID.size)
+    spectrum = OdmrSpectrum(ODMR_GRID, signal, np.full(ODMR_GRID.size, 0.002))
+    return fit_spectrum(spectrum, 2, init=init)
+
+
+def _g2_fit(init=None):
+    curve = synthesize_g2(G2_TAUS, G2_TRUTH, noise=NoiseSpec("gaussian", sigma=0.02, seed=4))
+    return fit_g2(curve, init=init)
+
+
+def _decay_fit(model):
+    rng = np.random.default_rng(8)
+    times = np.linspace(0.0, 1500.0, 300)
+    signal = 0.4 + 0.5 * np.exp(-np.power(times / 494.0, 1.5)) + rng.normal(0.0, 0.005, 300)
+    return fit_decay_envelope(DecayCurve(times, signal, np.full(300, 0.005), "hahn"), model)
+
+
+def _saturation_fit():
+    rng = np.random.default_rng(2)
+    powers = np.linspace(0.1, 5.0, 15)
+    counts = 1e5 * powers / (powers + 1.1) * (1.0 + rng.normal(0.0, 0.01, powers.size))
+    return fit_saturation(powers, counts)
+
+
+def _slice_fit():
+    rng = np.random.default_rng(6)
+    x, y = np.linspace(-2.0, 2.0, 41), np.linspace(0.0, 1.0, 3)
+    profile = gaussian_profile(x, 5e3, 0.3, 0.45, 200.0) + rng.normal(0.0, 20.0, x.size)
+    plmap = PLMap((x, y), np.repeat(profile[:, None], y.size, axis=1), power=0.3)
+    return fit_gaussian_slice(plmap, 0, [1])
+
+
+def _packed_model(fit):
+    m = fit.model
+    return [m.baseline, *np.column_stack([m.centers, m.contrasts, m.fwhms]).ravel()]
+
+
+REVERSED_DIPS = LineShapeModel([2881.0, 2864.0], [0.02, 0.02], [8.0, 8.0])
+REVERSED_BUNCHING = G2_TRUTH[[0, 1, 2, 5, 6, 3, 4]]
+
+# each fitter, and the named fields that report.params must start with, in order
+REPORTS = {
+    "odmr": (_odmr_fit, _packed_model),
+    "odmr, dips seeded in reverse": (lambda: _odmr_fit(REVERSED_DIPS), _packed_model),
+    "g2": (_g2_fit, lambda fit: fit.as_array()),
+    "g2, bunching pair seeded in reverse": (lambda: _g2_fit(REVERSED_BUNCHING),
+                                            lambda fit: fit.as_array()),
+    "decay, stretched": (lambda: _decay_fit(DecayModel.STRETCHED),
+                         lambda fit: [fit.baseline, fit.amplitude, fit.t_coh, fit.n_stretch]),
+    "decay, single exponential": (lambda: _decay_fit(DecayModel.SINGLE_EXP),
+                                  lambda fit: [fit.baseline, fit.amplitude, fit.t_coh]),
+    "saturation": (_saturation_fit, lambda fit: [fit.c_sat, fit.p_sat]),
+    "gaussian slice": (_slice_fit,
+                       lambda fit: [fit.amplitude, fit.center, fit.fwhm, fit.baseline]),
+}
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_report_params_name_the_result_fields_in_order(name):
+    fit_once, named_fields = REPORTS[name]
+    fit = fit_once()
+    named = named_fields(fit)
+    report = fit.report
+    np.testing.assert_array_equal(report.params[:len(named)], named)
+    assert report.stderr.shape == report.params.shape
+    assert np.isfinite(report.stderr).all()
+    assert report.converged
+
+
+@pytest.mark.parametrize("fit_with, init", [(_odmr_fit, REVERSED_DIPS),
+                                             (_g2_fit, REVERSED_BUNCHING)])
+def test_reordered_report_keeps_each_error_with_its_parameter(fit_with, init):
+    # the reversed seed ends with its labels swapped; once sorted, each
+    # parameter and its error match those of the fit seeded in order
+    forward, reverse = fit_with().report, fit_with(init).report
+    np.testing.assert_allclose(reverse.params, forward.params, rtol=1e-4)
+    np.testing.assert_allclose(reverse.stderr, forward.stderr, rtol=1e-4)

@@ -40,3 +40,12 @@ def test_zero_sigma_adds_nothing():
     noisy, sigma = apply_noise(signal, NoiseSpec("gaussian", sigma=0.0, seed=3))
     assert np.array_equal(noisy, signal)
     assert np.array_equal(sigma, np.zeros(7))
+
+
+@pytest.mark.parametrize("signal, spec", [
+    ([float("inf"), 1.0], NoiseSpec("gaussian", sigma=0.1, seed=1)),
+    ([float("nan"), 1.0], NoiseSpec("poisson", counts=100.0, seed=1)),
+])
+def test_nonfinite_signal_is_rejected_by_name(signal, spec):
+    with pytest.raises(NoiseError, match="^signal must be finite, got .* at index 0"):
+        apply_noise(np.array(signal), spec)

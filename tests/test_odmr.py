@@ -238,9 +238,9 @@ def test_fit_single_dip_init_at_truth():
     model = LineShapeModel([2870.0], [0.1], [5.0], baseline=1.0)
     spec = OdmrSpectrum(GRID, model.evaluate(GRID), np.ones_like(GRID))
     fit = fit_spectrum(spec, 1, init=model)
-    assert fit.converged and fit.iterations <= 5
+    assert fit.report.converged and fit.report.iterations <= 5
     assert fit.model.centers[0] == pytest.approx(2870.0, abs=1e-9)
-    assert fit.residual_norm < 1e-9
+    assert fit.report.residual_norm < 1e-9
 
 
 def test_fit_two_dip_roundtrip_with_noise():
@@ -268,7 +268,7 @@ def test_fit_damping_contract():
     spec = synthesize_spectrum(SpinSystem(), env, "cw", GRID,
                                noise=NoiseSpec("gaussian", sigma=0.005, seed=2))
     fit = fit_spectrum(spec, 2)
-    assert fit.converged
+    assert fit.report.converged
 
 
 def test_constant_spectrum_rejected():
@@ -392,7 +392,7 @@ def test_fit_matches_the_fit_with_per_dip_loops():
                                    noise=NoiseSpec("gaussian", sigma=sigma, seed=seed))
         fit = fit_spectrum(spec, n_dips)
         reference = _fit_reference(spec, n_dips)
-        assert fit.iterations == reference.iterations
+        assert fit.report.iterations == reference.iterations
         model = odmr._unpack(reference.params)
         for ours, theirs in ((fit.model.centers, model.centers),
                              (fit.model.contrasts, model.contrasts),
@@ -409,7 +409,7 @@ def test_fit_jacobian_reuses_the_terms_of_the_last_residual_call(monkeypatch):
     fit = fit_spectrum(spec, 2)
     # one Jacobian per iteration plus the one for the errors; only that last
     # one can fall on a point other than the last residual call's
-    assert counts["_dip_jacobian"] == fit.iterations + 1
+    assert counts["_dip_jacobian"] == fit.report.iterations + 1
     assert counts["_dip_residuals"] <= counts["_dip_terms"] <= counts["_dip_residuals"] + 1
 
 
@@ -425,7 +425,7 @@ def test_fit_spectrum_makes_no_numeric_jacobian_call(monkeypatch):
                                    noise=NoiseSpec("gaussian", sigma=0.005, seed=seed))
         fit = fit_spectrum(spec, 2)
         assert abs(fit.xi_fit - 2.5) <= 0.2 and abs(fit.delta_fit - 4.1) <= 0.2
-        assert np.all(np.isfinite(fit.errors))
+        assert np.all(np.isfinite(fit.report.stderr))
     system = SpinSystem(nuclei=(HyperfineCoupling.nitrogen14(),))
     pulsed = synthesize_spectrum(system, FieldEnvironment(), "pulsed",
                                  np.linspace(2862.0, 2878.0, 801))

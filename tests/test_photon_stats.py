@@ -73,7 +73,7 @@ def test_fit_noiseless_from_truth_is_exact():
     curve = synthesize_g2(taus, REF_PARAMS)
     fit = fit_g2(curve, init=REF_PARAMS)
     assert np.allclose(fit.as_array(), REF_PARAMS, rtol=1e-6)
-    assert fit.converged
+    assert fit.report.converged
 
 
 def test_fit_roundtrip_with_noise():
@@ -98,8 +98,8 @@ def test_fit_noisy_flat_curve_amplitudes_within_error():
     taus = np.linspace(-500.0, 500.0, 400)
     g2 = 1.0 + rng.normal(0.0, 0.01, taus.size)
     fit = fit_g2(G2Curve(taus, g2, np.full(taus.size, 0.01)))
-    for amp, err in ((fit.c1, fit.errors[1]), (fit.c2, fit.errors[3]),
-                     (fit.c3, fit.errors[5])):
+    stderr = fit.report.stderr
+    for amp, err in ((fit.c1, stderr[1]), (fit.c2, stderr[3]), (fit.c3, stderr[5])):
         assert abs(amp) <= max(3.0 * err, 0.1)
 
 
