@@ -3,16 +3,21 @@
 Every analysis operation is exposed as a subcommand. Results are printed to
 standard output as a self-describing record: a `# nvkit v1 <subcommand>`
 header followed by `key = value` lines in a fixed order. With a fixed
---seed the output is byte-identical across runs. Optional --plot-out writes
-two-column numeric files for plotting.
+--seed the output is byte-identical across runs.
+
+Each subcommand takes only the flags it reads. The two simulators, odmr-sim
+and seq-sim, also take --noise-sigma and --seed for Gaussian noise, --out
+for a data file and --plot-out for a two-column numeric file to plot.
 
 Exit codes: 0 success, 1 computation or file error, 2 usage error.
 
 A config file (--config or the NVKIT_CONFIG environment variable) supplies
 defaults per subcommand. Grammar: `[subcommand]` section headers, then
 `key = value` lines (keys match the long flag names, dashes or underscores);
-`#` starts a comment. Unknown sections or keys are rejected. Command-line
-flags override config values.
+`#` starts a comment. Unknown sections or keys are rejected. The config's
+values become the subcommand parser's defaults, so a flag on the command
+line wins in every form argparse accepts (`--flag value`, `--flag=value` or
+an unambiguous abbreviation).
 
 Each subcommand imports the nvkit modules it runs inside its handler, so a
 process pays for no module it does not use. confocal is the one exception
@@ -92,9 +97,16 @@ def _parse_nuclei(text: str):
         return ()
     nuclei = []
     for token in text.split(","):
-        parts = token.strip().split(":")
-        name = parts[0].lower()
-        extra = [float(p) for p in parts[1:]]
+        name, *extra = token.strip().split(":")
+        name = name.lower()
+        if len(extra) > 2:
+            raise UsageError(f"--nuclei: at most a_parallel and a_perp may follow "
+                             f"the species, got {token!r}")
+        try:
+            extra = [float(p) for p in extra]
+        except ValueError:
+            raise UsageError(f"--nuclei: expected numeric couplings (MHz), "
+                             f"got {token!r}") from None
         if name == "n14":
             base = spin_model.HyperfineCoupling.nitrogen14()
         elif name == "c13":
@@ -134,6 +146,18 @@ def _noise_spec(args):
     return noise.NoiseSpec("gaussian", sigma=args.noise_sigma, seed=args.seed)
 
 
+def _write_outputs(args, record, save, data, columns):
+    """Write ``data`` to --out with ``save`` and ``columns`` to --plot-out,
+    naming each written file in ``record``; return the record."""
+    if args.out:
+        save(args.out, data)
+        record["out"] = args.out
+    if args.plot_out:
+        write_plot(args.plot_out, columns)
+        record["plot_out"] = args.plot_out
+    return record
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations (each returns an ordered record dict)
 
@@ -155,13 +179,8 @@ def cmd_odmr_sim(args):
         "line_centers_mhz": [f for f, _ in lines],
         "seed": args.seed,
     }
-    if args.out:
-        odmr.save_spectrum(args.out, spectrum)
-        record["out"] = args.out
-    if args.plot_out:
-        write_plot(args.plot_out, (spectrum.freqs, spectrum.signal))
-        record["plot_out"] = args.plot_out
-    return record
+    return _write_outputs(args, record, odmr.save_spectrum, spectrum,
+                          (spectrum.freqs, spectrum.signal))
 
 
 def cmd_odmr_fit(args):
@@ -186,7 +205,7 @@ def cmd_odmr_fit(args):
 
 
 def cmd_seq_sim(args):
-    from . import dynamics, noise, spin_model
+    from . import dynamics, spin_model
     system, env = _spin_inputs(args)
     coh = _coherence(args)
     times = np.linspace(args.tmin, args.tmax, args.points)
@@ -198,10 +217,7 @@ def cmd_seq_sim(args):
         else:
             drive = args.drive_freq
         curve = dynamics.simulate_rabi(system, env, coh, drive,
-                                       args.rabi_freq, times)
-        if spec is not None:
-            noisy, sigma = noise.apply_noise(curve.signal, spec)
-            curve = dynamics.DecayCurve(curve.times, noisy, sigma, kind="rabi")
+                                       args.rabi_freq, times, noise=spec)
     elif args.kind == "fid":
         curve = dynamics.simulate_fid(system, env, coh, args.detuning, times,
                                       noise=spec)
@@ -219,13 +235,8 @@ def cmd_seq_sim(args):
         "signal_last": float(curve.signal[-1]),
         "seed": args.seed,
     }
-    if args.out:
-        dynamics.save_curve(args.out, curve)
-        record["out"] = args.out
-    if args.plot_out:
-        write_plot(args.plot_out, (curve.times, curve.signal))
-        record["plot_out"] = args.plot_out
-    return record
+    return _write_outputs(args, record, dynamics.save_curve, curve,
+                          (curve.times, curve.signal))
 
 
 def cmd_decay_fit(args):
@@ -335,7 +346,7 @@ def cmd_map_slice(args):
     if args.axis not in axis_names:
         raise UsageError(f"--axis: expected one of {','.join(axis_names)}, got {args.axis!r}")
     axis = axis_names.index(args.axis)
-    index = tuple(int(v) for v in _floats(args.index, plmap.ndim - 1, "--index"))
+    index = _floats(args.index, plmap.ndim - 1, "--index")
     fit = confocal.fit_gaussian_slice(plmap, axis, index)
     return {
         "axis": args.axis,
@@ -369,9 +380,10 @@ def _add_coherence_flags(p):
                    help="Rabi dephasing time (us)")
 
 
-def _add_common(p):
-    p.add_argument("--config", default=None,
-                   help="config file (default: $NVKIT_CONFIG)")
+def _add_output_flags(p, out_help):
+    """Noise and output flags of the two simulators."""
+    p.add_argument("--noise-sigma", type=float, default=0.0)
+    p.add_argument("--out", default=None, help=out_help)
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--plot-out", default=None,
                    help="write a two-column x/y file for plotting")
@@ -393,9 +405,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--contrast", type=float, default=0.1)
     p.add_argument("--ensemble", action="store_true",
                    help="average the four NV orientations")
-    p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--out", default=None, help="write spectrum file")
-    _add_common(p)
+    _add_output_flags(p, "write spectrum file")
     table["odmr-sim"] = (p, cmd_odmr_sim, ())
 
     p = subs.add_parser("odmr-fit", help="fit Lorentzian dips to a spectrum file")
@@ -403,7 +413,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--n-dips", type=int, default=2)
     p.add_argument("--d-ref", type=float, default=D_ZFS_MHZ,
                    help="reference zero-field splitting (MHz)")
-    _add_common(p)
     table["odmr-fit"] = (p, cmd_odmr_fit, ("infile",))
 
     p = subs.add_parser("seq-sim", help="simulate a pulse-sequence sweep")
@@ -421,9 +430,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    help="fid: drive detuning (MHz)")
     p.add_argument("--larmor-khz", type=float, default=50.0,
                    help="hahn: bath Larmor frequency (kHz)")
-    p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--out", default=None, help="write decay-curve file")
-    _add_common(p)
+    _add_output_flags(p, "write decay-curve file")
     table["seq-sim"] = (p, cmd_seq_sim, ("kind",))
 
     p = subs.add_parser("decay-fit", help="fit a decay envelope to a curve file")
@@ -431,24 +438,20 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--model",
                    choices=DECAY_MODELS,
                    default="stretched")
-    _add_common(p)
     table["decay-fit"] = (p, cmd_decay_fit, ("infile",))
 
     p = subs.add_parser("freq-extract", help="extract oscillation frequencies")
     p.add_argument("--in", dest="infile", default=None, help="decay-curve file")
     p.add_argument("--max-components", type=int, default=3)
-    _add_common(p)
     table["freq-extract"] = (p, cmd_freq_extract, ("infile",))
 
     p = subs.add_parser("g2-fit", help="fit the photon-correlation model")
     p.add_argument("--in", dest="infile", default=None, help="g2 curve file")
-    _add_common(p)
     table["g2-fit"] = (p, cmd_g2_fit, ("infile",))
 
     p = subs.add_parser("sat-fit", help="fit the PL saturation curve")
     p.add_argument("--in", dest="infile", default=None,
                    help="file with power_mW counts_per_s rows")
-    _add_common(p)
     table["sat-fit"] = (p, cmd_sat_fit, ("infile",))
 
     p = subs.add_parser("density", help="estimate NV density from PL rates")
@@ -462,13 +465,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    help="excitation power, enables the linearity warning")
     p.add_argument("--psat-mw", type=float, default=None,
                    help="saturation power, enables the linearity warning")
-    _add_common(p)
     table["density"] = (p, cmd_density, ("c_ens", "c_single"))
 
     p = subs.add_parser("enhance", help="PL enhancement ratio of two regions")
     p.add_argument("--region-a", type=float, default=None, help="rate A (counts/s)")
     p.add_argument("--region-b", type=float, default=None, help="rate B (counts/s)")
-    _add_common(p)
     table["enhance"] = (p, cmd_enhance, ("region_a", "region_b"))
 
     p = subs.add_parser("sensitivity", help="shot-noise-limited field sensitivity")
@@ -477,7 +478,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--readout-us", type=float, default=0.5, help="readout window (us)")
     p.add_argument("--t2star-us", type=float, default=None, help="T2* (us)")
     p.add_argument("--t2-us", type=float, default=None, help="T2 (us)")
-    _add_common(p)
     table["sensitivity"] = (p, cmd_sensitivity,
                             ("count_rate", "contrast", "t2star_us", "t2_us"))
 
@@ -486,9 +486,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--axis", default=None, help="slice axis: x, y or z")
     p.add_argument("--index", default=None,
                    help="fixed indices of the other axes, comma-separated")
-    _add_common(p)
     table["map-slice"] = (p, cmd_map_slice, ("infile", "axis", "index"))
 
+    for p, _, _ in table.values():
+        p.add_argument("--config", default=None,
+                       help="config file (default: $NVKIT_CONFIG)")
     return parser, table
 
 
@@ -519,16 +521,14 @@ def load_config(path: str) -> dict:
     return sections
 
 
-def apply_config(args, parser, command: str, sections: dict, path: str) -> None:
-    """Fill unset args from the config section; reject unknown keys."""
-    section = sections.get(command, {})
+def apply_config(parser, command: str, sections: dict, path: str) -> None:
+    """Make the config section's values the defaults of ``parser``, the
+    subcommand's parser; reject unknown keys and bad values."""
     actions = {a.dest: a for a in parser._actions}
-    supplied = getattr(args, "_explicit", set())
-    for key, (value, lineno) in section.items():
+    defaults = {}
+    for key, (value, lineno) in sections.get(command, {}).items():
         if key not in actions or key in ("help", "config"):
             raise UsageError(f"{path}:{lineno}: unknown key {key!r} for [{command}]")
-        if key in supplied:
-            continue  # flags override config
         action = actions[key]
         try:
             if isinstance(action, argparse._StoreTrueAction):
@@ -544,21 +544,8 @@ def apply_config(args, parser, command: str, sections: dict, path: str) -> None:
             raise UsageError(
                 f"{path}:{lineno}: value {value!r} not one of "
                 f"{','.join(map(str, action.choices))}")
-        setattr(args, key, converted)
-
-
-def _explicit_dests(argv, parser) -> set:
-    """Dests the user set explicitly on the command line."""
-    by_flag = {}
-    for action in parser._actions:
-        for opt in action.option_strings:
-            by_flag[opt] = action.dest
-    out = set()
-    for token in argv:
-        flag = token.split("=", 1)[0]
-        if flag in by_flag:
-            out.add(by_flag[flag])
-    return out
+        defaults[key] = converted
+    parser.set_defaults(**defaults)
 
 
 def main(argv=None) -> int:
@@ -573,19 +560,14 @@ def main(argv=None) -> int:
         return 2
 
     sub_parser, handler, required = table[args.command]
-    args._explicit = _explicit_dests(argv, sub_parser)
-
     try:
         config_path = args.config or os.environ.get("NVKIT_CONFIG")
         if config_path:
-            sections = load_config(config_path)
-            apply_config(args, sub_parser, args.command, sections, config_path)
-        for dest in required:
-            if getattr(args, dest) is None:
-                flag = "--" + dest.replace("_", "-")
-                if dest == "infile":
-                    flag = "--in"
-                raise UsageError(f"missing required flag {flag}")
+            apply_config(sub_parser, args.command, load_config(config_path), config_path)
+            args = parser.parse_args(argv)  # every flag given wins over the config
+        for action in sub_parser._actions:
+            if action.dest in required and getattr(args, action.dest) is None:
+                raise UsageError(f"missing required flag {action.option_strings[0]}")
         record = handler(args)
     except UsageError as exc:
         sys.stderr.write(f"nvkit {args.command}: usage error: {exc}\n")

@@ -125,13 +125,23 @@ def gaussian_profile(x, amplitude, center, fwhm, baseline):
 
 
 def extract_slice(plmap: PLMap, axis: int, index):
-    """1D slice along ``axis`` at fixed indices of the remaining axes."""
+    """1D slice along ``axis`` at fixed indices of the remaining axes.
+
+    Each fixed index must be a whole number inside its axis; a negative
+    index does not count from the end.
+    """
     if not 0 <= axis < plmap.ndim:
         raise ConfocalError(f"axis {axis} out of range for a {plmap.ndim}D map")
-    index = tuple(np.atleast_1d(index).astype(int))
+    index = np.atleast_1d(index).tolist()
     if len(index) != plmap.ndim - 1:
         raise ConfocalError("index must fix all axes except the sliced one")
-    slicer = list(index)
+    fixed = [k for k in range(plmap.ndim) if k != axis]
+    for i, k in zip(index, fixed):
+        n = plmap.counts.shape[k]
+        if not (float(i).is_integer() and 0 <= i < n):
+            raise ConfocalError(f"index {i:g} of axis {_AXIS_NAMES[k]} must be a "
+                                f"whole number from 0 to {n - 1}")
+    slicer = [int(i) for i in index]
     slicer.insert(axis, slice(None))
     return plmap.axes[axis], plmap.counts[tuple(slicer)]
 

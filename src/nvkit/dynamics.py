@@ -185,9 +185,11 @@ class DecayModel(Enum):
 class EnvelopeFit:
     """Stretched-exponential envelope parameters extracted from a curve.
 
-    report.params holds (baseline, amplitude, t_coh, n_stretch) and then,
-    for STRETCHED_TIMES_OSC, one (cos, sin) quadrature pair per frequency;
-    SINGLE_EXP fixes n_stretch = 1 and fits only the first three.
+    report.params holds (baseline, amplitude, t_coh, n_stretch); SINGLE_EXP
+    fixes n_stretch = 1 and fits only the first three. STRETCHED_TIMES_OSC
+    fixes amplitude = 1, as its quadratures already carry the beat amplitudes,
+    and report.params holds (baseline, t_coh, n_stretch) and then one
+    (cos, sin) quadrature pair per frequency.
     """
 
     t_coh: float
@@ -324,6 +326,7 @@ def simulate_rabi(
     rabi_freq: float,
     durations: np.ndarray,
     readout_contrast: float = READOUT_CONTRAST_SINGLE,
+    noise: NoiseSpec | None = None,
 ) -> DecayCurve:
     """ms=0 readout signal versus resonant drive duration.
 
@@ -351,9 +354,8 @@ def simulate_rabi(
         mean = np.mean(pops)
         envelope = np.exp(-durations / coh.t_rho_rabi)
         pops = mean + (pops - mean) * envelope
-    signal = 1.0 - readout_contrast * (1.0 - pops)
-    return DecayCurve(times=durations, signal=signal,
-                      sigma=np.ones_like(durations), kind="rabi")
+    signal, sigma = apply_noise(1.0 - readout_contrast * (1.0 - pops), noise)
+    return DecayCurve(times=durations, signal=signal, sigma=sigma, kind="rabi")
 
 
 # ---------------------------------------------------------------------------
@@ -507,23 +509,24 @@ def fit_decay_envelope(curve: DecayCurve, model: DecayModel,
         f_arr = np.array(freqs) if freqs else np.array([0.0])
 
         def residuals(p):
-            b, a, t_coh, n = p[:4]
-            quads = p[4:].reshape(-1, 2)
+            b, t_coh, n = p[:3]
+            quads = p[3:].reshape(-1, 2)
             osc = np.zeros_like(times)
             for (ck, sk), fk in zip(quads, f_arr):
                 osc = osc + ck * np.cos(2 * np.pi * fk * times) \
                           + sk * np.sin(2 * np.pi * fk * times)
-            return (b + a * envelope(times, t_coh, n) * osc - signal) * weights
+            return (b + envelope(times, t_coh, n) * osc - signal) * weights
 
-        x0 = np.concatenate([[baseline0, 1.0, t0, 1.5],
-                             np.tile([amp0, 0.0], k)])
-        bounds = [(-np.inf, np.inf), (-np.inf, np.inf),
-                  (1e-9 * t_scale, 1e6 * t_scale), (0.5, 3.0)]
+        x0 = np.concatenate([[baseline0, t0, 1.5], np.tile([amp0, 0.0], k)])
+        bounds = [(-np.inf, np.inf), (1e-9 * t_scale, 1e6 * t_scale), (0.5, 3.0)]
         bounds += [(-np.inf, np.inf)] * (2 * k)
 
     fit = levenberg_marquardt(residuals, x0, bounds=bounds)
-    b, a, t_coh = fit.params[:3]
-    n_fit = 1.0 if model is DecayModel.SINGLE_EXP else fit.params[3]
+    if model is DecayModel.STRETCHED_TIMES_OSC:
+        (b, t_coh, n_fit), a = fit.params[:3], 1.0
+    else:
+        b, a, t_coh = fit.params[:3]
+        n_fit = 1.0 if model is DecayModel.SINGLE_EXP else fit.params[3]
 
     return EnvelopeFit(
         t_coh=float(t_coh),

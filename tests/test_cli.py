@@ -26,6 +26,17 @@ def run_cli(args, env_extra=None):
                           capture_output=True, text=True, env=env)
 
 
+def run_main(args):
+    """`cli.main` in this process, with NVKIT_CONFIG unset: (code, stdout, stderr)."""
+    from nvkit import cli
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        mp.delenv("NVKIT_CONFIG", raising=False)
+        code = cli.main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     """Input files for the fitting subcommands."""
@@ -244,6 +255,80 @@ def test_config_unknown_section_rejected(tmp_path):
                       "--config", str(cfg)])
     assert result.returncode == 2
     assert ":1:" in result.stderr
+
+
+SENSITIVITY_FLAGS = ["--count-rate", "30e3", "--t2star-us", "1.76", "--t2-us", "494"]
+
+
+@pytest.mark.parametrize("contrast", [["--contrast", "0.2"], ["--contrast=0.2"],
+                                      ["--contr", "0.2"], ["--contr=0.2"]])
+def test_explicit_flag_beats_config_in_every_form(tmp_path, contrast):
+    cfg = tmp_path / "nvkit.conf"
+    cfg.write_text("[sensitivity]\ncontrast = 0.1\n")
+    expected = run_main(["sensitivity", *SENSITIVITY_FLAGS, "--contrast", "0.2"])
+    assert run_main(["sensitivity", "--config", str(cfg), *SENSITIVITY_FLAGS,
+                     *contrast]) == expected
+    assert "eta_dc_nt_per_sqrt_hz = 174.9631715\n" in expected[1]
+
+
+SIMULATORS = ("odmr-sim", "seq-sim")
+OUTPUT_FLAGS = ("--noise-sigma", "--seed", "--out", "--plot-out")
+
+
+def test_output_flags_belong_to_the_simulators_only(data_dir, tmp_path):
+    from nvkit import cli
+    parsers = {name: entry[0] for name, entry in cli.build_parser()[1].items()}
+    for name, parser in parsers.items():
+        flags = {opt for action in parser._actions for opt in action.option_strings}
+        assert "--config" in flags, name
+        taken = set(OUTPUT_FLAGS) & flags
+        assert taken == (set(OUTPUT_FLAGS) if name in SIMULATORS else set()), name
+    for name, argv in all_subcommand_argvs(data_dir, tmp_path).items():
+        if name not in SIMULATORS:
+            for flags in (["--seed", "5"], ["--plot-out", str(tmp_path / "p.dat")]):
+                assert run_main(argv + flags)[0] == 2, (name, flags)
+    assert not (tmp_path / "p.dat").exists()
+
+
+@pytest.mark.parametrize("argv", [["odmr-sim", "--points", "41"],
+                                  ["seq-sim", "--kind", "rabi", "--points", "41"]])
+def test_simulators_take_all_four_output_flags(tmp_path, argv):
+    out, plot = tmp_path / "out.txt", tmp_path / "plot.txt"
+    code, stdout, stderr = run_main(argv + ["--noise-sigma", "0.01", "--seed", "3",
+                                            "--out", str(out), "--plot-out", str(plot)])
+    assert code == 0, stderr
+    assert f"seed = 3\nout = {out}\nplot_out = {plot}\n" in stdout
+    assert len(plot.read_text().splitlines()) == 41
+    assert out.exists()
+
+
+@pytest.mark.parametrize("section, key", [("g2-fit", "seed"), ("enhance", "plot-out"),
+                                          ("sensitivity", "noise_sigma"),
+                                          ("map-slice", "out")])
+def test_config_key_of_a_flag_the_subcommand_lacks_is_rejected(tmp_path, section, key):
+    cfg = tmp_path / "nvkit.conf"
+    cfg.write_text(f"# output flags\n[{section}]\n{key} = 1\n")
+    code, stdout, stderr = run_main([section, "--config", str(cfg)])
+    assert code == 2
+    assert f"{cfg}:3: unknown key {key.replace('-', '_')!r}" in stderr
+    assert stdout == ""
+
+
+@pytest.mark.parametrize("index", ["61", "-1", "30.7"])
+def test_map_slice_index_outside_its_axis_or_fractional_exits_1(data_dir, index):
+    code, stdout, stderr = run_main(["map-slice", "--in", str(data_dir / "map.txt"),
+                                     "--axis", "x", "--index", index])
+    assert code == 1
+    assert "error: index" in stderr
+    assert stdout == ""
+
+
+@pytest.mark.parametrize("nuclei", ["n14:abc", "c13:", "n14:1:2:3"])
+def test_malformed_nuclei_is_a_usage_error(nuclei):
+    code, stdout, stderr = run_main(["odmr-sim", "--points", "11", "--nuclei", nuclei])
+    assert code == 2
+    assert "usage error: --nuclei" in stderr
+    assert stdout == ""
 
 
 def test_density_warns_above_linearity_threshold():

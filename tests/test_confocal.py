@@ -183,6 +183,14 @@ def test_plmap_rejects_nonfinite_values(field, bad):
         PLMap(axes=tuple(axes), counts=counts, power=power)
 
 
+@pytest.mark.parametrize("index", [61, -1, 30.7])
+def test_slice_index_must_be_a_whole_number_inside_its_axis(index):
+    # the fixed axis y has 61 points: 61 is past its end, -1 does not count
+    # from the end, and 30.7 is not truncated to 30
+    with pytest.raises(ConfocalError, match="index"):
+        fit_gaussian_slice(gaussian_map(), 0, (index,))
+
+
 def test_slice_fit_flat_slice_rejected():
     x = np.linspace(0.0, 1.0, 10)
     plmap = PLMap(axes=(x, x), counts=np.ones((10, 10)), power=1.0)

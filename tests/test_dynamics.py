@@ -25,6 +25,7 @@ from nvkit.dynamics import (
     simulate_rabi,
     simulate_relaxometry,
 )
+from nvkit.noise import NoiseSpec, apply_noise
 from nvkit.spin_model import (
     FieldEnvironment,
     HyperfineCoupling,
@@ -237,6 +238,18 @@ def test_rabi_dephasing_envelope():
                           readout_contrast=1.0)
     late = curve.signal[times > 10.0 * COH.t_rho_rabi / 4.0]
     assert np.all(np.abs(late - late.mean()) < 0.2)
+
+
+def test_rabi_noise_draws_what_apply_noise_draws_on_the_clean_trace():
+    system, env, f_low = isolated_two_level()
+    times = np.linspace(0.0, 3.0, 61)
+    spec = NoiseSpec("gaussian", sigma=0.01, seed=4)
+    clean = simulate_rabi(system, env, COH, f_low, 1.0, times)
+    noisy = simulate_rabi(system, env, COH, f_low, 1.0, times, noise=spec)
+    signal, sigma = apply_noise(clean.signal, spec)
+    np.testing.assert_array_equal(noisy.signal, signal)
+    np.testing.assert_array_equal(noisy.sigma, sigma)
+    np.testing.assert_array_equal(clean.sigma, np.ones(times.size))
 
 
 def test_rabi_sweep_matches_single_pulse_sequences():

@@ -200,6 +200,15 @@ def _decay_fit(model):
     return fit_decay_envelope(DecayCurve(times, signal, np.full(300, 0.005), "hahn"), model)
 
 
+def _beat_curve():
+    # a seeded FID: a 2.16 MHz beat under a T2* = 2 us envelope
+    rng = np.random.default_rng(8)
+    times = np.linspace(0.0, 8.0, 400)
+    signal = 0.5 + 0.3 * np.exp(-times / 2.0) * np.cos(2 * np.pi * 2.16 * times) \
+        + rng.normal(0.0, 0.005, 400)
+    return DecayCurve(times, signal, np.full(400, 0.005), "fid")
+
+
 def _saturation_fit():
     rng = np.random.default_rng(2)
     powers = np.linspace(0.1, 5.0, 15)
@@ -234,6 +243,9 @@ REPORTS = {
                          lambda fit: [fit.baseline, fit.amplitude, fit.t_coh, fit.n_stretch]),
     "decay, single exponential": (lambda: _decay_fit(DecayModel.SINGLE_EXP),
                                   lambda fit: [fit.baseline, fit.amplitude, fit.t_coh]),
+    "decay, stretched with beats": (
+        lambda: fit_decay_envelope(_beat_curve(), DecayModel.STRETCHED_TIMES_OSC),
+        lambda fit: [fit.baseline, fit.t_coh, fit.n_stretch]),
     "saturation": (_saturation_fit, lambda fit: [fit.c_sat, fit.p_sat]),
     "gaussian slice": (_slice_fit,
                        lambda fit: [fit.amplitude, fit.center, fit.fwhm, fit.baseline]),
@@ -250,6 +262,23 @@ def test_report_params_name_the_result_fields_in_order(name):
     assert report.stderr.shape == report.params.shape
     assert np.isfinite(report.stderr).all()
     assert report.converged
+
+
+def test_beat_envelope_fit_has_a_full_rank_jacobian():
+    # the amplitude is held at 1: a free one would scale all quadratures alike
+    curve = _beat_curve()
+    fit = fit_decay_envelope(curve, DecayModel.STRETCHED_TIMES_OSC)
+    assert fit.amplitude == 1.0
+    assert fit.report.params.size == 3 + 2 * len(fit.frequencies)
+    phases = 2 * np.pi * np.outer(curve.times, fit.frequencies)
+
+    def residuals(p):
+        (b, t_coh, n), (cos_amps, sin_amps) = p[:3], p[3:].reshape(-1, 2).T
+        osc = np.cos(phases) @ cos_amps + np.sin(phases) @ sin_amps
+        return (b + np.exp(-(curve.times / t_coh) ** n) * osc - curve.signal) / curve.sigma
+
+    singular = np.linalg.svd(numeric_jacobian(residuals, fit.report.params), compute_uv=False)
+    assert singular[-1] > 1e-6 * singular[0]
 
 
 @pytest.mark.parametrize("fit_with, init", [(_odmr_fit, REVERSED_DIPS),
