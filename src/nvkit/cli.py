@@ -523,8 +523,9 @@ def load_config(path: str) -> dict:
 
 def apply_config(parser, command: str, sections: dict, path: str) -> None:
     """Make the config section's values the defaults of ``parser``, the
-    subcommand's parser; reject unknown keys and bad values."""
-    actions = {a.dest: a for a in parser._actions}
+    subcommand's parser; reject unknown keys (``in`` for --in) and bad values."""
+    actions = {opt[2:].replace("-", "_"): a for a in parser._actions
+               for opt in a.option_strings if opt.startswith("--")}
     defaults = {}
     for key, (value, lineno) in sections.get(command, {}).items():
         if key not in actions or key in ("help", "config"):
@@ -544,7 +545,7 @@ def apply_config(parser, command: str, sections: dict, path: str) -> None:
             raise UsageError(
                 f"{path}:{lineno}: value {value!r} not one of "
                 f"{','.join(map(str, action.choices))}")
-        defaults[key] = converted
+        defaults[action.dest] = converted
     parser.set_defaults(**defaults)
 
 

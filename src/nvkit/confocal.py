@@ -16,7 +16,7 @@ import numpy as np
 
 from .constants import CARBON_DENSITY_PER_CM3
 from .fitting import FitError, FitResult, levenberg_marquardt
-from .tables import parse_header, parse_rows, require, write_table
+from .tables import frozen, parse_header, parse_rows, require, write_table
 
 GAUSS_INTEGRAL_PER_FWHM = float(np.sqrt(np.pi / (4.0 * np.log(2.0))))
 _AXIS_NAMES = ("x", "y", "z")
@@ -39,20 +39,22 @@ class PLMap:
     power: float
 
     def __post_init__(self):
-        axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
-        counts = np.asarray(self.counts, dtype=float)
+        axes = tuple(frozen(a) for a in self.axes)
+        counts = frozen(self.counts)
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "counts", counts)
         if len(axes) not in (2, 3):
             raise ConfocalError("PLMap supports 2 or 3 axes")
-        if counts.shape != tuple(len(a) for a in axes):
-            raise ConfocalError("counts shape does not match axis lengths")
         for name, a in zip(_AXIS_NAMES, axes):
+            if a.ndim != 1:
+                raise ConfocalError(f"axis {name} must be 1-D, got shape {a.shape}")
             require(ConfocalError, f"axis {name}", a)
             if not (np.diff(a) > 0).all():
                 raise ConfocalError(f"axis {name} must be strictly increasing")
+        if counts.shape != tuple(len(a) for a in axes):
+            raise ConfocalError("counts shape does not match axis lengths")
         require(ConfocalError, "counts", counts, "finite and nonnegative")
         require(ConfocalError, "power", self.power, "finite and positive")
-        object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "counts", counts)
 
     @property
     def ndim(self) -> int:

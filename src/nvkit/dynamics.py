@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .fitting import FitError, FitResult, levenberg_marquardt, median, sigma_weights
+from .fitting import FitError, FitResult, levenberg_marquardt, median, pinned, sigma_weights
 from .noise import NoiseSpec, apply_noise
 from .spin_model import (
     FieldEnvironment,
@@ -32,7 +32,7 @@ from .spin_model import (
     transition_lines,
     _operators,
 )
-from .tables import read_table, require, write_table
+from .tables import columns, read_table, require, write_table
 
 READOUT_CONTRAST_SINGLE = 0.2
 READOUT_CONTRAST_ENSEMBLE = 0.033
@@ -156,11 +156,7 @@ class DecayCurve:
     kind: str = "fid"
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        signal = np.asarray(self.signal, dtype=float)
-        sigma = np.asarray(self.sigma, dtype=float)
-        if not (len(times) == len(signal) == len(sigma)):
-            raise DynamicsError("times, signal and sigma must have equal length")
+        times, signal, sigma = columns(self, DynamicsError, "times", "signal", "sigma")
         if len(times) < 8:
             raise DynamicsError("decay curve needs at least 8 points")
         require(DynamicsError, "times", times)
@@ -170,9 +166,6 @@ class DecayCurve:
         require(DynamicsError, "sigma", sigma, "finite and nonnegative")
         if self.kind not in ("rabi", "fid", "hahn", "t1"):
             raise DynamicsError(f"unknown curve kind {self.kind!r}")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "signal", signal)
-        object.__setattr__(self, "sigma", sigma)
 
 
 class DecayModel(Enum):
@@ -470,7 +463,8 @@ def fit_decay_envelope(curve: DecayCurve, model: DecayModel,
 
     STRETCHED_TIMES_OSC seeds oscillation frequencies from
     :func:`extract_frequencies` and fits quadrature amplitudes per
-    component under a shared envelope.
+    component under a shared envelope. A trace with no oscillation to seed
+    them, or a fit whose t_coh or n_stretch ends on a bound, raises FitError.
     """
     if np.ptp(curve.signal) <= 0:
         raise FitError("signal is constant; nothing to fit")
@@ -487,46 +481,45 @@ def fit_decay_envelope(curve: DecayCurve, model: DecayModel,
     freqs: tuple = ()
     if model is DecayModel.STRETCHED_TIMES_OSC:
         freqs = tuple(f for f, _ in extract_frequencies(curve, max_components))
+        if not freqs:
+            raise FitError("no oscillation found to fit with stretched_osc")
 
     def envelope(t, t_coh, n):
         return np.exp(-np.power(np.clip(t / t_coh, 0.0, 50.0), n))
 
-    if model is DecayModel.SINGLE_EXP:
-        def residuals(p):
-            b, a, t_coh = p
-            return (b + a * envelope(times, t_coh, 1.0) - signal) * weights
-        x0 = [baseline0, amp0, t0]
-        bounds = [(-np.inf, np.inf), (-np.inf, np.inf), (1e-9 * t_scale, 1e6 * t_scale)]
-    elif model is DecayModel.STRETCHED:
-        def residuals(p):
-            b, a, t_coh, n = p
-            return (b + a * envelope(times, t_coh, n) - signal) * weights
-        x0 = [baseline0, amp0, t0, 1.5]
-        bounds = [(-np.inf, np.inf), (-np.inf, np.inf),
-                  (1e-9 * t_scale, 1e6 * t_scale), (0.5, 3.0)]
-    else:
-        k = max(len(freqs), 1)
-        f_arr = np.array(freqs) if freqs else np.array([0.0])
-
+    if model is DecayModel.STRETCHED_TIMES_OSC:
         def residuals(p):
             b, t_coh, n = p[:3]
             quads = p[3:].reshape(-1, 2)
             osc = np.zeros_like(times)
-            for (ck, sk), fk in zip(quads, f_arr):
+            for (ck, sk), fk in zip(quads, freqs):
                 osc = osc + ck * np.cos(2 * np.pi * fk * times) \
                           + sk * np.sin(2 * np.pi * fk * times)
             return (b + envelope(times, t_coh, n) * osc - signal) * weights
 
-        x0 = np.concatenate([[baseline0, t0, 1.5], np.tile([amp0, 0.0], k)])
+        x0 = np.concatenate([[baseline0, t0, 1.5], np.tile([amp0, 0.0], len(freqs))])
         bounds = [(-np.inf, np.inf), (1e-9 * t_scale, 1e6 * t_scale), (0.5, 3.0)]
-        bounds += [(-np.inf, np.inf)] * (2 * k)
+        bounds += [(-np.inf, np.inf)] * (2 * len(freqs))
+    else:  # (baseline, amplitude, t_coh, n_stretch); SINGLE_EXP holds n_stretch at 1
+        k = 4 if model is DecayModel.STRETCHED else 3
+
+        def residuals(p):
+            n = p[3] if k == 4 else 1.0
+            return (p[0] + p[1] * envelope(times, p[2], n) - signal) * weights
+        x0 = [baseline0, amp0, t0, 1.5][:k]
+        bounds = [(-np.inf, np.inf), (-np.inf, np.inf),
+                  (1e-9 * t_scale, 1e6 * t_scale), (0.5, 3.0)][:k]
 
     fit = levenberg_marquardt(residuals, x0, bounds=bounds)
     if model is DecayModel.STRETCHED_TIMES_OSC:
         (b, t_coh, n_fit), a = fit.params[:3], 1.0
+        names = ("baseline", "t_coh", "n_stretch")
     else:
         b, a, t_coh = fit.params[:3]
         n_fit = 1.0 if model is DecayModel.SINGLE_EXP else fit.params[3]
+        names = ("baseline", "amplitude", "t_coh", "n_stretch")
+    if on_bound := pinned(fit.params, bounds, names):
+        raise FitError(f"decay envelope fit ended on a bound: {on_bound}")
 
     return EnvelopeFit(
         t_coh=float(t_coh),
@@ -545,8 +538,8 @@ def extract_frequencies(curve: DecayCurve, max_components: int):
     refinement of damped cosines in the time domain. Components are returned
     sorted by descending amplitude. A constant trace yields an empty list.
     """
-    if max_components < 1:
-        raise DynamicsError(f"max_components must be at least 1, got {max_components!r}")
+    if not (float(max_components).is_integer() and max_components >= 1):
+        raise DynamicsError(f"max_components must be at least 1 and whole, got {max_components!r}")
     if len(curve.times) < 2 * max_components:
         raise DynamicsError("too few points for the requested component count")
     times, signal = curve.times, curve.signal

@@ -34,6 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tables import frozen
+
 MAX_ITER = 200   # iterations before the solver gives up
 RTOL = 1e-10     # relative change of the squared residual norm
 GTOL = 1e-8      # infinity norm of the gradient J^T r
@@ -63,9 +65,8 @@ class FitResult:
     iterations: int
     cost_history: list = field(default_factory=list)
 
-    @property
-    def cost(self) -> float:
-        return self.residual_norm ** 2
+    def __post_init__(self):
+        self.params, self.stderr = frozen(self.params), frozen(self.stderr)
 
 
 def numeric_jacobian(residuals, x, bounds=None, rel_step=1e-6):
@@ -97,6 +98,12 @@ def numeric_jacobian(residuals, x, bounds=None, rel_step=1e-6):
 def sigma_weights(sigma) -> np.ndarray:
     """Residual weights 1/sigma; a point with sigma = 0 gets weight 1."""
     return 1.0 / np.where(sigma > 0, sigma, 1.0)
+
+
+def pinned(params, bounds, names) -> str:
+    """``name=value`` of each parameter on one of its bounds; ``names`` label the first ones."""
+    return ", ".join(f"{name}={x:g}" for name, x, (lo, hi) in zip(names, params, bounds)
+                     if x <= lo or x >= hi)
 
 
 def _clip_to_bounds(x, box):

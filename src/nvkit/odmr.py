@@ -26,7 +26,7 @@ from .spin_model import (
     project_field,
     unmerged_lines,
 )
-from .tables import read_table, require, write_table
+from .tables import columns, read_table, require, write_table
 
 CW_FWHM_MHZ = 8.0
 PULSED_FWHM_MHZ = 0.7
@@ -46,11 +46,7 @@ class OdmrSpectrum:
     mode: str = "cw"
 
     def __post_init__(self):
-        freqs = np.asarray(self.freqs, dtype=float)
-        signal = np.asarray(self.signal, dtype=float)
-        sigma = np.asarray(self.sigma, dtype=float)
-        if not (len(freqs) == len(signal) == len(sigma)):
-            raise OdmrError("freqs, signal and sigma must have equal length")
+        freqs, signal, sigma = columns(self, OdmrError, "freqs", "signal", "sigma")
         if len(freqs) < 8:
             raise OdmrError("spectrum needs at least 8 points")
         require(OdmrError, "frequency grid", freqs)
@@ -60,9 +56,6 @@ class OdmrSpectrum:
         require(OdmrError, "sigma", sigma, "finite and nonnegative")
         if self.mode not in ("cw", "pulsed"):
             raise OdmrError(f"unknown mode {self.mode!r}")
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "signal", signal)
-        object.__setattr__(self, "sigma", sigma)
 
 
 @dataclass(frozen=True)
@@ -75,20 +68,13 @@ class LineShapeModel:
     baseline: float = 1.0
 
     def __post_init__(self):
-        centers = np.atleast_1d(np.asarray(self.centers, dtype=float))
-        contrasts = np.atleast_1d(np.asarray(self.contrasts, dtype=float))
-        fwhms = np.atleast_1d(np.asarray(self.fwhms, dtype=float))
-        if not (len(centers) == len(contrasts) == len(fwhms)):
-            raise OdmrError("centers, contrasts and fwhms must have equal length")
+        centers, contrasts, fwhms = columns(self, OdmrError, "centers", "contrasts", "fwhms")
         require(OdmrError, "centers", centers)
         require(OdmrError, "contrasts", contrasts)
         require(OdmrError, "fwhms", fwhms, "finite and positive")
         require(OdmrError, "baseline", self.baseline)
         if (contrasts < 0).any() or (contrasts >= 1).any():
             raise OdmrError("contrasts must lie in [0, 1)")
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "contrasts", contrasts)
-        object.__setattr__(self, "fwhms", fwhms)
 
     def evaluate(self, freqs: np.ndarray) -> np.ndarray:
         freqs = np.asarray(freqs, dtype=float)
@@ -276,8 +262,7 @@ def _initial_model(spectrum: OdmrSpectrum, n_dips: int) -> LineShapeModel:
         centers.append(freqs[i])
         contrasts.append(min(depth, 0.999))
         widths.append(width)
-    return LineShapeModel(np.array(centers), np.array(contrasts), np.array(widths),
-                          baseline=baseline)
+    return LineShapeModel(centers, contrasts, widths, baseline=baseline)
 
 
 def _pack(model: LineShapeModel) -> np.ndarray:
@@ -355,11 +340,14 @@ def fit_spectrum(
     reuses those of the last residual call when it is asked for the same
     point object, which is how the solver calls it. The shift/splitting
     summary uses the mean and spread of the outermost fitted centers
-    relative to ``d_reference``, which must be finite.
+    relative to ``d_reference``, which must be finite. ``n_dips`` must be a whole
+    number from 1 to (points - 1) / 3: no more parameters than points.
     """
     require(OdmrError, "d_reference", d_reference)
-    if n_dips < 1:
-        raise OdmrError("n_dips must be at least 1")
+    most = (len(spectrum.freqs) - 1) // 3  # 3 parameters per dip and a baseline
+    if not (float(n_dips).is_integer() and 1 <= n_dips <= most):
+        raise OdmrError(f"n_dips must be a whole number from 1 to {most}, got {n_dips!r}")
+    n_dips = int(n_dips)
     if np.ptp(spectrum.signal) <= 0:
         raise OdmrError("spectrum is constant; nothing to fit")
     model0 = init if init is not None else _initial_model(spectrum, n_dips)

@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fitting import FitError, FitResult, levenberg_marquardt, median, sigma_weights
+from .fitting import FitError, FitResult, levenberg_marquardt, median, pinned, sigma_weights
 from .noise import NoiseSpec, apply_noise
-from .tables import read_table, require, write_table
+from .tables import columns, read_table, require, write_table
 
 TAU_BOUNDS_NS = (0.01, 1e4)
 AMPLITUDE_BOUNDS = (0.0, 5.0)
@@ -36,19 +36,12 @@ class G2Curve:
     sigma: np.ndarray
 
     def __post_init__(self):
-        taus = np.asarray(self.taus, dtype=float)
-        g2 = np.asarray(self.g2, dtype=float)
-        sigma = np.asarray(self.sigma, dtype=float)
-        if not (len(taus) == len(g2) == len(sigma)):
-            raise PhotonStatsError("taus, g2 and sigma must have equal length")
+        taus, g2, sigma = columns(self, PhotonStatsError, "taus", "g2", "sigma")
         if len(taus) == 0:
             raise PhotonStatsError("g2 curve needs at least one point")
         require(PhotonStatsError, "taus", taus)
         require(PhotonStatsError, "g2", g2)
         require(PhotonStatsError, "sigma", sigma, "finite and nonnegative")
-        object.__setattr__(self, "taus", taus)
-        object.__setattr__(self, "g2", g2)
-        object.__setattr__(self, "sigma", sigma)
 
 
 @dataclass
@@ -258,10 +251,10 @@ def fit_saturation(powers, counts) -> SaturationFit:
         return p[0] * powers / (powers + p[1]) - counts
 
     floor = 1e-12
-    fit = levenberg_marquardt(residuals, [c0, p0], bounds=[(floor, np.inf)] * 2)
-    if min(fit.params) <= floor:
-        raise FitError(f"saturation fit ended on its {floor:g} lower bound "
-                       f"(c_sat={fit.params[0]:g}, p_sat={fit.params[1]:g})")
+    bounds = [(floor, np.inf)] * 2
+    fit = levenberg_marquardt(residuals, [c0, p0], bounds=bounds)
+    if on_bound := pinned(fit.params, bounds, ("c_sat", "p_sat")):
+        raise FitError(f"saturation fit ended on its {floor:g} lower bound ({on_bound})")
     return SaturationFit(*fit.params.tolist(), report=fit)
 
 

@@ -32,7 +32,7 @@ from .constants import (
     GAMMA_E_MHZ_PER_MT,
     NV_AXES,
 )
-from .tables import require
+from .tables import frozen, require
 
 MAX_DIMENSION = 18
 
@@ -49,6 +49,10 @@ class SpinOperators:
     sx: np.ndarray
     sy: np.ndarray
     sz: np.ndarray
+
+    def __post_init__(self):
+        for name in ("sx", "sy", "sz"):
+            object.__setattr__(self, name, frozen(getattr(self, name), complex))
 
 
 def spin_operators(dimension: int) -> SpinOperators:
@@ -102,6 +106,15 @@ class HyperfineCoupling:
         return HyperfineCoupling(NuclearSpecies.C13, a_parallel, a_perp)
 
 
+def _vector3(name, value, what="3-vector") -> np.ndarray:
+    """``value`` as a read-only float copy, checked to be a finite ``what``."""
+    v = frozen(value)
+    if v.shape != (3,):
+        raise SpinModelError(f"{name} must be a {what}, got shape {v.shape}")
+    require(SpinModelError, name, v)
+    return v
+
+
 @dataclass(frozen=True)
 class NvOrientation:
     """One of the four <111> symmetry axes, stored as a unit vector."""
@@ -109,32 +122,22 @@ class NvOrientation:
     axis: np.ndarray
 
     def __post_init__(self):
-        axis = np.asarray(self.axis, dtype=float)
-        if axis.shape != (3,):
-            raise SpinModelError(f"NV axis must be a 3-vector, got shape {axis.shape}")
-        require(SpinModelError, "NV axis", axis)
+        axis = _vector3("NV axis", self.axis)
         norm = np.linalg.norm(axis)
         if not 0.0 < norm < np.inf:
             raise SpinModelError(f"NV axis must have a finite nonzero norm, got {norm}")
         if abs(norm - 1.0) > 1e-12:
-            axis = axis / norm
+            axis = frozen(axis / norm)
         object.__setattr__(self, "axis", axis)
 
 
+# the four NV orientations in a fixed order, built once
+NV_ORIENTATIONS = tuple(NvOrientation(axis) for axis in NV_AXES)
+
+
 def nv_orientations() -> tuple[NvOrientation, ...]:
-    """The four NV orientations in a fixed order."""
-    return tuple(NvOrientation(axis) for axis in NV_AXES)
-
-
-def _shared_orientations() -> tuple[NvOrientation, ...]:
-    orientations = tuple(NvOrientation(np.array(axis)) for axis in NV_AXES)
-    for orient in orientations:
-        orient.axis.flags.writeable = False
-    return orientations
-
-
-# the orientations of nv_orientations(), built once, with read-only axes
-NV_ORIENTATIONS = _shared_orientations()
+    """The four NV orientations in a fixed order, :data:`NV_ORIENTATIONS`."""
+    return NV_ORIENTATIONS
 
 
 @dataclass(frozen=True)
@@ -151,7 +154,7 @@ class FieldEnvironment:
     splitting_delta: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "b_lab", _field_vector(self.b_lab))
+        object.__setattr__(self, "b_lab", _vector3("b_lab", self.b_lab, "3-vector in mT"))
         require(SpinModelError, "shift_xi", self.shift_xi)
         require(SpinModelError, "splitting_delta", self.splitting_delta)
 
@@ -163,7 +166,7 @@ class SpinSystem:
     d_zfs: float = D_ZFS_MHZ
     gamma_e: float = GAMMA_E_MHZ_PER_MT
     nuclei: tuple[HyperfineCoupling, ...] = ()
-    orientation: NvOrientation = field(default_factory=lambda: NvOrientation(NV_AXES[0]))
+    orientation: NvOrientation = NV_ORIENTATIONS[0]
 
     def __post_init__(self):
         require(SpinModelError, "d_zfs", self.d_zfs, "finite and positive")
@@ -205,30 +208,22 @@ class HamiltonianMatrix:
         object.__setattr__(self, "entries", h)
 
 
-def _field_vector(b_lab) -> np.ndarray:
-    """``b_lab`` as a float array, checked to be a finite 3-vector in mT."""
-    b = np.asarray(b_lab, dtype=float)
-    if b.shape != (3,):
-        raise SpinModelError(f"b_lab must be a 3-vector in mT, got shape {b.shape}")
-    require(SpinModelError, "b_lab", b)
-    return b
-
-
 def project_field(b_lab, orientations=None):
     """Axial/transverse field components for each NV orientation.
 
     Returns a list of (axial, transverse) pairs in mT, in the fixed
     orientation order of :func:`nv_orientations`.
     """
-    b = _field_vector(b_lab)
+    b = _vector3("b_lab", b_lab, "3-vector in mT")
     if orientations is None:
         orientations = NV_ORIENTATIONS
-    out = []
-    for orient in orientations:
-        axial = float(b @ orient.axis)
-        transverse = float(np.linalg.norm(b - axial * orient.axis))
-        out.append((axial, transverse))
-    return out
+    return [_projection(b, orient.axis) for orient in orientations]
+
+
+def _projection(b, axis):
+    """(axial, transverse) components of the checked field ``b`` about the unit ``axis``."""
+    axial = float(b @ axis)
+    return axial, float(np.linalg.norm(b - axial * axis))
 
 
 def _embed(op: np.ndarray, slot: int, dims: tuple[int, ...]) -> np.ndarray:
@@ -261,11 +256,9 @@ def _build_operators(dims: tuple[int, ...]) -> _Operators:
     for k, d in enumerate(dims[1:], start=1):
         nuc = spin_operators(d)
         ix, iy, iz = (_embed(op, k, dims) for op in (nuc.sx, nuc.sy, nuc.sz))
-        hyperfine.append((sz @ iz, sx @ ix + sy @ iy))
+        hyperfine.append(tuple(frozen(a, complex) for a in (sz @ iz, sx @ ix + sy @ iy)))
     p0 = _embed(np.diag([0.0, 1.0, 0.0]).astype(complex), 0, dims)  # basis (+1, 0, -1)
-    arrays = [sx, sy, sz, sz @ sz, sx @ sx - sy @ sy, p0]
-    for a in arrays + [op for pair in hyperfine for op in pair]:
-        a.flags.writeable = False
+    arrays = [frozen(a, complex) for a in (sx, sy, sz, sz @ sz, sx @ sx - sy @ sy, p0)]
     return _Operators(*arrays, tuple(hyperfine))
 
 
@@ -281,7 +274,7 @@ def build_hamiltonian(system: SpinSystem, env: FieldEnvironment) -> HamiltonianM
     for the terms modeled here). The returned matrix is a fresh array.
     """
     ops = _operators(system)
-    axial, transverse = project_field(env.b_lab, [system.orientation])[0]
+    axial, transverse = _projection(env.b_lab, system.orientation.axis)  # checked by their records
     h = (system.d_zfs + env.shift_xi) * ops.sz2
     h = h + 2.0 * env.splitting_delta * ops.sx2_minus_sy2
     h = h + system.gamma_e * (axial * ops.sz + transverse * ops.sx)
@@ -324,10 +317,7 @@ def ms0_projector(system: SpinSystem) -> np.ndarray:
 @lru_cache(maxsize=None)  # one entry per Hilbert dimension
 def _pair_indices(dimension: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (i, j) indices of every level pair i < j."""
-    pairs = np.triu_indices(dimension, k=1)
-    for a in pairs:
-        a.flags.writeable = False
-    return pairs
+    return tuple(frozen(a, np.intp) for a in np.triu_indices(dimension, k=1))
 
 
 def unmerged_lines(system: SpinSystem, env: FieldEnvironment):

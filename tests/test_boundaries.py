@@ -21,13 +21,15 @@ from nvkit.confocal import (
     enhancement_ratio, estimate_density,
 )
 from nvkit.dynamics import (
-    CoherenceParams, DecayCurve, DynamicsError, EnvelopeFit, LaserInit, MwPulse,
-    PulseSequence, Readout, Wait, simulate_fid, simulate_hahn, simulate_rabi,
-    simulate_relaxometry,
+    CoherenceParams, DecayCurve, DecayModel, DynamicsError, EnvelopeFit, LaserInit, MwPulse,
+    PulseSequence, Readout, Wait, extract_frequencies, fit_decay_envelope, simulate_fid,
+    simulate_hahn, simulate_rabi, simulate_relaxometry,
 )
 from nvkit.magnetometry import MagnetometryError, SensorParams, sensitivity_si
 from nvkit.noise import NoiseError, NoiseSpec
-from nvkit.odmr import LineShapeModel, OdmrError, OdmrSpectrum, synthesize_spectrum
+from nvkit.odmr import (
+    LineShapeModel, OdmrError, OdmrSpectrum, fit_spectrum, synthesize_spectrum,
+)
 from nvkit.photon_stats import (
     G2Curve, PhotonStatsError, SaturationFit, fit_saturation, saturation_model,
     synthesize_g2,
@@ -40,6 +42,7 @@ from nvkit.spin_model import (
 NONFINITE = st.sampled_from([np.nan, np.inf, -np.inf])
 NEGATIVE = NONFINITE | st.floats(max_value=-5e-324, allow_nan=False, allow_infinity=False)
 NONPOSITIVE = NONFINITE | st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
+FRACTIONAL = st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: x % 1 != 0)
 
 SYSTEM = SpinSystem()
 ENV = FieldEnvironment()
@@ -52,6 +55,12 @@ POWERS = np.array([0.5, 1.0, 2.0, 4.0])
 COUNTS = 1e3 * POWERS / (POWERS + 1.0)
 X_AXIS, Y_AXIS = np.linspace(0.0, 1.0, 4), np.linspace(0.0, 2.0, 5)
 PSF = PsfModel(0.45, 0.45, 2.0)
+# two dips at 2854 and 2886 MHz on the 41-point grid, which admits at most 13
+SPECTRUM = synthesize_spectrum(SYSTEM, FieldEnvironment(b_lab=np.array([0.0, 0.0, 1.0])),
+                               "cw", GRID)
+OSC_TIMES = np.linspace(0.0, 5.0, 64)
+BEATING = DecayCurve(OSC_TIMES, 0.5 + 0.4 * np.exp(-(OSC_TIMES / 2.0) ** 1.5)
+                     * np.cos(2 * np.pi * 1.5 * OSC_TIMES), np.full(64, 0.01))
 SENSOR = dict(count_rate=30e3, contrast=0.2, readout_window=0.5, t2_star=1.76, t2=494.0)
 SENSOR_SI = dict(count_rate_hz=30e3, contrast=0.2, readout_s=0.5e-6, t2_star_s=1.76e-6,
                  t2_s=494e-6)
@@ -117,6 +126,9 @@ CASES = [
                        branch_weights=np.array([1.0, 1.0])),
                   dict(contrast=NEGATIVE, fwhm=NONPOSITIVE, branch_weights=NEGATIVE),
                   SYSTEM, ENV, "cw"),
+    Case(fit_spectrum, "n_dips", OdmrError, 2,
+         NONFINITE | FRACTIONAL | st.integers(max_value=0) | st.integers(min_value=14),
+         lambda n: fit_spectrum(SPECTRUM, n)),
     # dynamics
     *fields_of(LaserInit, DynamicsError, dict(duration=1.0), dict(duration=NEGATIVE)),
     *fields_of(MwPulse, DynamicsError, dict(freq=2870.0, rabi_freq=5.0, phase=0.0,
@@ -149,6 +161,12 @@ CASES = [
     *arguments_of(simulate_rabi, DynamicsError,
                   dict(drive_freq=2870.0, rabi_freq=5.0, durations=TIMES, readout_contrast=0.2),
                   dict(durations=NEGATIVE), SYSTEM, ENV, None),
+    Case(extract_frequencies, "max_components", DynamicsError, 3,
+         NONFINITE | FRACTIONAL | st.integers(max_value=0),
+         lambda k: extract_frequencies(BEATING, k)),
+    Case(fit_decay_envelope, "max_components", DynamicsError, 3,
+         NONFINITE | FRACTIONAL | st.integers(max_value=0),
+         lambda k: fit_decay_envelope(BEATING, DecayModel.STRETCHED_TIMES_OSC, k)),
     # photon_stats
     *fields_of(G2Curve, PhotonStatsError,
                dict(taus=TAUS, g2=np.ones(TAUS.size), sigma=np.full(TAUS.size, 0.02)),

@@ -17,13 +17,13 @@ from nvkit.noise import NoiseSpec
 G2_PARAMS = [0.275, 1.481, 9.48, 0.365, 114.0, 0.313, 312.0]
 
 
-def run_cli(args, env_extra=None):
+def run_cli(args, env_extra=None, timeout=None):
     env = dict(os.environ)
     env.pop("NVKIT_CONFIG", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "nvkit.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def run_main(args):
@@ -312,6 +312,50 @@ def test_config_key_of_a_flag_the_subcommand_lacks_is_rejected(tmp_path, section
     assert code == 2
     assert f"{cfg}:3: unknown key {key.replace('-', '_')!r}" in stderr
     assert stdout == ""
+
+
+def test_config_key_is_the_long_flag_name(data_dir, tmp_path):
+    cfg = tmp_path / "nvkit.conf"
+    cfg.write_text(f"[sat-fit]\nin = {data_dir / 'sat.txt'}\n")
+    expected = run_main(["sat-fit", "--in", str(data_dir / "sat.txt")])
+    assert expected[0] == 0
+    assert run_main(["sat-fit", "--config", str(cfg)]) == expected
+
+
+def test_config_key_named_by_the_dest_is_rejected(data_dir, tmp_path):
+    cfg = tmp_path / "nvkit.conf"
+    cfg.write_text(f"[odmr-fit]\nn-dips = 2\ninfile = {data_dir / 'spec.txt'}\n")
+    code, stdout, stderr = run_main(["odmr-fit", "--config", str(cfg)])
+    assert code == 2
+    assert f"{cfg}:3: unknown key 'infile' for [odmr-fit]" in stderr
+    assert stdout == ""
+
+
+@pytest.mark.parametrize("n_dips", ["400", "0"])
+def test_odmr_fit_with_more_dips_than_the_points_allow_exits_1(data_dir, n_dips):
+    # 481 points carry at most 160 dips of three parameters plus a baseline
+    result = run_cli(["odmr-fit", "--in", str(data_dir / "spec.txt"), "--n-dips", n_dips],
+                     timeout=60)
+    assert result.returncode == 1
+    assert f"n_dips must be a whole number from 1 to 160, got {n_dips}" in result.stderr
+    assert "# nvkit v1" not in result.stdout
+
+
+def test_decay_fit_on_a_bound_or_without_an_oscillation_exits_1(tmp_path):
+    t = np.linspace(0.05, 6.0, 300)
+    signal = np.exp(-(t / 2) ** 4) + np.random.default_rng(0).normal(0.0, 0.005, t.size)
+    stretched = tmp_path / "stretched.txt"
+    nvkit.save_curve(stretched, nvkit.DecayCurve(t, signal, np.full(t.size, 0.005), "hahn"))
+    rabi = tmp_path / "rabi.txt"
+    assert run_main(["seq-sim", "--kind", "rabi", "--nuclei", "n14", "--b", "0,0,4.6",
+                     "--points", "101", "--tmax", "2", "--noise-sigma", "0.01", "--seed", "4",
+                     "--out", str(rabi)])[0] == 0
+    for path, model, message in ((stretched, "stretched", "ended on a bound: n_stretch=3"),
+                                 (rabi, "stretched_osc", "no oscillation found")):
+        code, stdout, stderr = run_main(["decay-fit", "--in", str(path), "--model", model])
+        assert code == 1, model
+        assert message in stderr
+        assert stdout == ""
 
 
 @pytest.mark.parametrize("index", ["61", "-1", "30.7"])

@@ -25,6 +25,7 @@ from nvkit.dynamics import (
     simulate_rabi,
     simulate_relaxometry,
 )
+from nvkit.fitting import FitError
 from nvkit.noise import NoiseSpec, apply_noise
 from nvkit.spin_model import (
     FieldEnvironment,
@@ -579,6 +580,34 @@ def test_extract_rejects_fewer_than_one_component(max_components):
     assert len(extract_frequencies(curve, 2)) == 2
     with pytest.raises(DynamicsError, match="max_components must be at least 1"):
         extract_frequencies(curve, max_components)
+
+
+@pytest.mark.parametrize("max_components", [np.nan, np.inf, 2.5])
+def test_extract_and_fit_reject_a_fractional_or_nonfinite_component_count(max_components):
+    times = np.linspace(0.0, 10.0, 400)
+    curve = DecayCurve(times, 0.5 + 0.3 * np.cos(2 * np.pi * times), np.ones(times.size))
+    osc = DecayModel.STRETCHED_TIMES_OSC
+    for call in (lambda: extract_frequencies(curve, max_components),
+                 lambda: fit_decay_envelope(curve, osc, max_components)):
+        with pytest.raises(DynamicsError, match="max_components must be at least 1 and whole"):
+            call()
+
+
+def test_fit_ending_on_a_bound_of_t_coh_or_n_stretch_raises():
+    # exp(-(t/2)^4): the stretch exponent lies above the fit's (0.5, 3) range
+    t = np.linspace(0.05, 6.0, 300)
+    signal = np.exp(-(t / 2) ** 4) + np.random.default_rng(0).normal(0.0, 0.005, t.size)
+    curve = DecayCurve(t, signal, np.full(t.size, 0.005), kind="hahn")
+    with pytest.raises(FitError, match="ended on a bound: n_stretch=3"):
+        fit_decay_envelope(curve, DecayModel.STRETCHED)
+
+
+def test_beat_fit_without_an_oscillation_raises():
+    t = np.linspace(0.0, 5.0, 200)
+    curve = DecayCurve(t, 0.5 + 0.5 * np.exp(-t / 1.5), np.full(t.size, 0.01))
+    assert extract_frequencies(curve, 3) == []
+    with pytest.raises(FitError, match="no oscillation"):
+        fit_decay_envelope(curve, DecayModel.STRETCHED_TIMES_OSC)
 
 
 def test_extract_resamples_nonuniform_grid():

@@ -16,6 +16,7 @@ from nvkit.fitting import (
     median,
     numeric_jacobian,
     percentile,
+    pinned,
     sigma_weights,
 )
 from nvkit.noise import NoiseSpec
@@ -76,6 +77,13 @@ def test_stop_on_a_step_the_bounds_clipped_is_not_converged():
     free = levenberg_marquardt(residuals, [1.0], bounds=[(-10.0, np.inf)])
     assert free.params[0] == pytest.approx(-5.0 / 1.01)
     assert free.converged
+
+
+def test_pinned_names_each_labelled_parameter_on_a_bound():
+    bounds = [(0.0, 1.0), (0.0, 1.0), (-np.inf, np.inf), (0.0, 2.0)]
+    assert pinned([0.0, 0.5, 7.0, 2.0], bounds, ("a", "b", "c", "d")) == "a=0, d=2"
+    assert pinned([0.5, 1.0, 7.0, 2.0], bounds, ("a", "b")) == "b=1"  # unlabelled: unchecked
+    assert pinned([0.5, 0.5, 7.0, 1.0], bounds, ("a", "b", "c", "d")) == ""
 
 
 def test_solver_takes_only_bounds_and_jac_after_the_start_point():
