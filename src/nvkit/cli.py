@@ -14,7 +14,8 @@ Exit codes: 0 success, 1 computation or file error, 2 usage error.
 A config file (--config or the NVKIT_CONFIG environment variable) supplies
 defaults per subcommand. Grammar: `[subcommand]` section headers, then
 `key = value` lines (keys match the long flag names, dashes or underscores);
-`#` starts a comment. Unknown sections or keys are rejected. The config's
+`#` starts a comment. Unknown sections or keys are rejected, and so is an
+on/off value other than 1/true/yes or 0/false/no (any case). The config's
 values become the subcommand parser's defaults, so a flag on the command
 line wins in every form argparse accepts (`--flag value`, `--flag=value` or
 an unambiguous abbreviation).
@@ -521,6 +522,10 @@ def load_config(path: str) -> dict:
     return sections
 
 
+# config values of an on/off flag, in any case
+ON_OFF = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def apply_config(parser, command: str, sections: dict, path: str) -> None:
     """Make the config section's values the defaults of ``parser``, the
     subcommand's parser; reject unknown keys (``in`` for --in) and bad values."""
@@ -533,12 +538,12 @@ def apply_config(parser, command: str, sections: dict, path: str) -> None:
         action = actions[key]
         try:
             if isinstance(action, argparse._StoreTrueAction):
-                converted = value.lower() in ("1", "true", "yes")
+                converted = ON_OFF[value.lower()]
             elif action.type is not None:
                 converted = action.type(value)
             else:
                 converted = value
-        except ValueError:
+        except (KeyError, ValueError):
             raise UsageError(
                 f"{path}:{lineno}: bad value {value!r} for key {key!r}") from None
         if action.choices and converted not in action.choices:

@@ -5,9 +5,10 @@ counter-rotating terms are dropped (valid for drive strengths far below the
 2.87 GHz transition scale, in practice rabi_freq <= 20 MHz). Propagation
 uses exact matrix exponentials of each piecewise-constant Hamiltonian, so
 there is no step-size error. Free evolution is diagonal in the rotating
-frame's basis and needs no eigensolve; each distinct pulse Hamiltonian of a
-sequence takes one LAPACK Hermitian eigensolve, shared by every pulse that
-has its Rabi frequency and phase.
+frame's basis and needs no eigensolve. Each call builds the frame once, one
+LAPACK Hermitian eigensolve per distinct pulse Hamiltonian (Rabi frequency
+and phase), and the factors of each distinct segment once; a repeated
+segment, as in an echo or XY8 train, only applies them.
 
 Decoherence is phenomenological: envelopes multiply coherences. The
 closed-form trace models (FID, Hahn echo, relaxometry) carry stretched
@@ -216,54 +217,51 @@ class _RotatingFrame:
     frame rotating at the drive frequency the sector energies are offset by
     -f per excitation; drive matrix elements within one sector and all
     static cross-sector couplings oscillate at the drive frequency and are
-    dropped.
+    dropped. The frame keeps the cross-sector parts of Sx and Sy, scaled by
+    the rotating-wave amplitude 1/sqrt(2).
     """
 
     def __init__(self, system: SpinSystem, env: FieldEnvironment, drive_freq: float):
         ops = _operators(system)
-        self.evals, self.evecs = eigenlevels(build_hamiltonian(system, env))
-        sectors = np.round(np.diag(self.evecs.conj().T @ ops.sz2 @ self.evecs).real)
-        self.sectors = np.clip(sectors, 0.0, 1.0)
-        self.frame_energies = self.evals - drive_freq * self.sectors
-        self.sx = self.evecs.conj().T @ ops.sx @ self.evecs
-        self.sy = self.evecs.conj().T @ ops.sy @ self.evecs
-        self.cross = np.abs(self.sectors[:, None] - self.sectors[None, :]) > 0.5
-        self.p0 = self.evecs.conj().T @ ops.p0 @ self.evecs
+        evals, evecs = eigenlevels(build_hamiltonian(system, env))
+        sz2, sx, sy, self.p0 = evecs.conj().T @ np.array((ops.sz2, ops.sx, ops.sy, ops.p0)) @ evecs
+        sectors = np.clip(np.round(np.diag(sz2).real), 0.0, 1.0)
+        self.frame_energies = evals - drive_freq * sectors
+        cross = np.abs(sectors[:, None] - sectors[None, :]) > 0.5
+        self.drive_x, self.drive_y = np.where(cross, np.array((sx, sy)) / np.sqrt(2.0), 0.0)
 
     def initial_state(self) -> np.ndarray:
-        return self.p0.astype(complex) / np.trace(self.p0).real
+        return self.p0 / np.trace(self.p0).real
 
     def hamiltonian(self, rabi_freq: float, phase: float) -> np.ndarray:
-        h = np.diag(self.frame_energies).astype(complex)
-        if rabi_freq:
-            amp = rabi_freq / np.sqrt(2.0)
-            drive = amp * (np.cos(phase) * self.sx + np.sin(phase) * self.sy)
-            h = h + np.where(self.cross, drive, 0.0)
-        return h
-
-    def ms0_population(self, rho: np.ndarray) -> float:
-        return float(np.trace(rho @ self.p0).real)
+        return (np.diag(self.frame_energies) + rabi_freq * np.cos(phase) * self.drive_x
+                + rabi_freq * np.sin(phase) * self.drive_y)
 
 
-def _evolve(rho, eigensystem, duration, t_coh, t1_us):
-    """Evolve ``rho`` for ``duration`` in the eigenbasis of the segment Hamiltonian.
+def _segment_factors(eigensystem, duration, t_coh, t1_us):
+    """What :func:`_evolve` applies for one segment of ``duration``.
 
-    ``eigensystem`` is its ``(evals, evecs)``; ``evecs`` None means the
-    Hamiltonian is diagonal in the frame basis, as for free evolution.
+    ``eigensystem`` is the segment Hamiltonian's ``(evals, evecs)``; ``evecs``
+    None means it is diagonal in the frame basis, as for free evolution.
     Coherences between eigenstates pick up their phases and decay with
     ``t_coh``; populations relax towards the mixed state with ``t1_us``.
     """
     evals, evecs = eigensystem
     phases = np.exp(-2j * np.pi * evals * duration)
-    n = len(evals)
-    damp = np.full((n, n), np.exp(-duration / t_coh))
-    np.fill_diagonal(damp, 1.0)
-    rho_e = rho if evecs is None else evecs.conj().T @ rho @ evecs
-    rho_e = rho_e * np.outer(phases, phases.conj()) * damp
-    if np.isfinite(t1_us):
-        mixed, relax = 1.0 / n, np.exp(-duration / t1_us)
-        np.fill_diagonal(rho_e, mixed + (np.diag(rho_e).real - mixed) * relax)
-    return rho_e if evecs is None else evecs @ rho_e @ evecs.conj().T
+    coherence = phases[:, None] * phases.conj() * np.exp(-duration / t_coh)
+    np.fill_diagonal(coherence, 1.0)
+    relax = np.exp(-duration / t1_us) if np.isfinite(t1_us) else None
+    return evecs, None if evecs is None else evecs.conj().T, coherence, relax
+
+
+def _evolve(rho, factors):
+    """Evolve ``rho`` through one segment, given its :func:`_segment_factors`."""
+    evecs, evecs_h, coherence, relax = factors
+    rho_e = (rho if evecs is None else evecs_h @ rho @ evecs) * coherence
+    if relax is not None:
+        mixed = 1.0 / len(rho_e)
+        np.fill_diagonal(rho_e, mixed + (rho_e.diagonal().real - mixed) * relax)
+    return rho_e if evecs is None else evecs @ rho_e @ evecs_h
 
 
 def propagate_sequence(
@@ -277,33 +275,35 @@ def propagate_sequence(
     """Run a pulse sequence and return the ms=0 population at readout.
 
     The readout signal is 1 - contrast*(1 - population). Without coh the
-    evolution is purely unitary.
+    evolution is purely unitary. Each call builds the rotating frame, each
+    distinct (rabi_freq, phase) eigensystem and each distinct segment's
+    factors once; a repeated segment only applies them.
     """
     require(DynamicsError, "readout_contrast", readout_contrast)
     frame = _RotatingFrame(system, env, seq.drive_freq)
-    # frame.hamiltonian(0, 0) is diag(frame_energies); the sequence has one
-    # drive frequency, so (rabi_freq, phase) fixes each pulse Hamiltonian
-    free = (frame.frame_energies, None)
-    pulses = {}
+    # the sequence has one drive frequency, so (rabi_freq, phase) fixes each
+    # pulse Hamiltonian; drive None is free evolution, diagonal in the frame basis
+    eigensystems, segments = {None: (frame.frame_energies, None)}, {}
     if coh is None:
         t_rabi = t_free = t1_us = np.inf
     else:
         t_rabi, t_free, t1_us = coh.t_rho_rabi, coh.t2_star, coh.t1 * 1000.0
 
-    rho = None
-    result = None
-    for element in seq.elements:
+    for element in seq.elements:  # LaserInit comes first and Readout last
         if isinstance(element, LaserInit):
             rho = frame.initial_state()
-        elif isinstance(element, MwPulse):
-            key = (element.rabi_freq, element.phase)
-            if key not in pulses:
-                pulses[key] = eigenlevels(frame.hamiltonian(*key))
-            rho = _evolve(rho, pulses[key], element.duration, t_rabi, t1_us)
-        elif isinstance(element, Wait):
-            rho = _evolve(rho, free, element.duration, t_free, t1_us)
+        elif isinstance(element, (MwPulse, Wait)):
+            drive = (element.rabi_freq, element.phase) if isinstance(element, MwPulse) else None
+            key = (drive, element.duration)
+            if key not in segments:
+                if drive not in eigensystems:
+                    eigensystems[drive] = eigenlevels(frame.hamiltonian(*drive))
+                t_coh = t_free if drive is None else t_rabi
+                segments[key] = _segment_factors(eigensystems[drive], element.duration,
+                                                 t_coh, t1_us)
+            rho = _evolve(rho, segments[key])
         else:  # Readout
-            population = frame.ms0_population(rho)
+            population = float(np.trace(rho @ frame.p0).real)
             signal = 1.0 - readout_contrast * (1.0 - population)
             result = SequenceResult(population=population, signal=signal)
     if return_state:
@@ -323,7 +323,8 @@ def simulate_rabi(
 ) -> DecayCurve:
     """ms=0 readout signal versus resonant drive duration.
 
-    Shares one eigendecomposition across all durations for speed; the
+    Builds the rotating frame and the drive's eigensystem once (two
+    eigensolves) and contracts all durations in one matrix product; the
     optional Rabi dephasing envelope multiplies the oscillating part.
     """
     for name, value in (("drive_freq", drive_freq), ("rabi_freq", rabi_freq),
@@ -334,14 +335,12 @@ def simulate_rabi(
         raise DynamicsError("empty duration grid")
     require(DynamicsError, "durations", durations, "finite and nonnegative")
     frame = _RotatingFrame(system, env, drive_freq)
-    rho0 = frame.initial_state()
     evals, evecs = eigenlevels(frame.hamiltonian(rabi_freq, 0.0))
-    rho_e = evecs.conj().T @ rho0 @ evecs
-    p0_e = evecs.conj().T @ frame.p0 @ evecs
+    rho_e, p0_e = evecs.conj().T @ np.array((frame.initial_state(), frame.p0)) @ evecs
 
     # trace(rho(t) p0) with rho(t)_ij = e^{-2 pi i (E_i - E_j) t} rho_ij
     phases = np.exp(-2j * np.pi * np.outer(durations, evals))
-    pops = np.einsum("ti,ij,tj->t", phases, rho_e * p0_e.T, phases.conj()).real
+    pops = ((phases @ (rho_e * p0_e.T)) * phases.conj()).sum(1).real
 
     if coh is not None:
         mean = np.mean(pops)

@@ -22,6 +22,7 @@ from .spin_model import (
     NV_ORIENTATIONS,
     FieldEnvironment,
     SpinSystem,
+    _NvFrameField,
     merge_lines,
     project_field,
     unmerged_lines,
@@ -117,17 +118,17 @@ def orientation_lines(system: SpinSystem, env: FieldEnvironment, ensemble: bool 
     ``system`` alone; see :func:`spin_model.unmerged_lines`. The Hamiltonian
     sees an orientation only through its field projection, so orientations
     with the same projection (compared bit for bit) share one eigensolve and
-    the same arrays: at zero field all four do. ``system`` is rebuilt in a
-    new orientation only for the first orientation of each such group.
+    the same arrays: at zero field all four do. The field is projected once
+    per orientation, and each group's Hamiltonian is built from its projection.
     """
     if not ensemble:
         return [unmerged_lines(system, env)]
-    projections = np.array(project_field(env.b_lab, NV_ORIENTATIONS))
     solved, lines = {}, []
-    for orientation, projection in zip(NV_ORIENTATIONS, projections):
+    for projection in np.array(project_field(env.b_lab, NV_ORIENTATIONS)):
         key = projection.tobytes()  # exact bits, so 0.0 and -0.0 stay apart
         if key not in solved:
-            solved[key] = unmerged_lines(replace(system, orientation=orientation), env)
+            nv_frame = _NvFrameField(*projection.tolist(), env.shift_xi, env.splitting_delta)
+            solved[key] = unmerged_lines(system, nv_frame)
         lines.append(solved[key])
     return lines
 

@@ -208,6 +208,22 @@ class HamiltonianMatrix:
         object.__setattr__(self, "entries", h)
 
 
+@dataclass(frozen=True)
+class _NvFrameField:
+    """A field environment already projected on one NV axis.
+
+    ``axial`` and ``transverse`` are a pair of :func:`project_field`;
+    :func:`build_hamiltonian` takes this record in place of a
+    :class:`FieldEnvironment` and then ignores the system's orientation, so
+    a caller that has projected the field does not project it again.
+    """
+
+    axial: float
+    transverse: float
+    shift_xi: float
+    splitting_delta: float
+
+
 def project_field(b_lab, orientations=None):
     """Axial/transverse field components for each NV orientation.
 
@@ -274,7 +290,10 @@ def build_hamiltonian(system: SpinSystem, env: FieldEnvironment) -> HamiltonianM
     for the terms modeled here). The returned matrix is a fresh array.
     """
     ops = _operators(system)
-    axial, transverse = _projection(env.b_lab, system.orientation.axis)  # checked by their records
+    if isinstance(env, _NvFrameField):
+        axial, transverse = env.axial, env.transverse
+    else:  # b_lab and the axis were checked by their records
+        axial, transverse = _projection(env.b_lab, system.orientation.axis)
     h = (system.d_zfs + env.shift_xi) * ops.sz2
     h = h + 2.0 * env.splitting_delta * ops.sx2_minus_sy2
     h = h + system.gamma_e * (axial * ops.sz + transverse * ops.sx)

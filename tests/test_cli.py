@@ -331,6 +331,28 @@ def test_config_key_named_by_the_dest_is_rejected(data_dir, tmp_path):
     assert stdout == ""
 
 
+@pytest.mark.parametrize("value, n_lines", [("yes", 4), ("TRUE", 4), ("1", 4),
+                                            ("No", 1), ("false", 1), ("0", 1)])
+def test_config_on_off_value_in_any_case(tmp_path, value, n_lines):
+    cfg = tmp_path / "nvkit.conf"
+    cfg.write_text(f"[odmr-sim]\nensemble = {value}\n")
+    code, stdout, stderr = run_main(["odmr-sim", "--points", "41", "--config", str(cfg)])
+    assert code == 0, stderr
+    assert f"n_lines = {n_lines}\n" in stdout
+    flag = ["--ensemble"] if n_lines == 4 else []
+    assert stdout == run_main(["odmr-sim", "--points", "41", *flag])[1]
+
+
+@pytest.mark.parametrize("value", ["ture", "on", "2", ""])
+def test_config_bad_on_off_value_is_rejected(tmp_path, value):
+    cfg = tmp_path / "nvkit.conf"
+    cfg.write_text(f"[odmr-sim]\n# on/off\nensemble = {value}\n")
+    code, stdout, stderr = run_main(["odmr-sim", "--config", str(cfg)])
+    assert code == 2
+    assert f"{cfg}:3: bad value {value!r} for key 'ensemble'" in stderr
+    assert stdout == ""
+
+
 @pytest.mark.parametrize("n_dips", ["400", "0"])
 def test_odmr_fit_with_more_dips_than_the_points_allow_exits_1(data_dir, n_dips):
     # 481 points carry at most 160 dips of three parameters plus a baseline

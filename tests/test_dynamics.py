@@ -31,6 +31,8 @@ from nvkit.spin_model import (
     FieldEnvironment,
     HyperfineCoupling,
     SpinSystem,
+    _operators,
+    build_hamiltonian,
     eigenlevels,
     transition_lines,
 )
@@ -340,19 +342,42 @@ def sequence(kind, drive, tau, rabi=8.0):
     return PulseSequence((LaserInit(1.0), *body, Readout(0.5)))
 
 
+def reference_frame(system, env, drive):
+    """The rotating frame built here, as the propagator defines it: the
+    ms=0 projector in the static eigenbasis and the Hamiltonian of a pulse.
+
+    Eigenstates are sorted into ms sectors by their Sz^2 expectation; a pulse
+    adds the cross-sector part of (rabi_freq / sqrt 2)(cos(phase) Sx +
+    sin(phase) Sy), and rabi_freq 0 gives free evolution.
+    """
+    ops = _operators(system)
+    evals, evecs = np.linalg.eigh(build_hamiltonian(system, env).entries)
+    sz2, sx, sy, p0 = (evecs.conj().T @ op @ evecs for op in (ops.sz2, ops.sx, ops.sy, ops.p0))
+    sectors = np.clip(np.round(np.diag(sz2).real), 0.0, 1.0)
+    cross = np.abs(sectors[:, None] - sectors[None, :]) > 0.5
+
+    def hamiltonian(rabi_freq, phase):
+        h = np.diag(evals - drive * sectors).astype(complex)
+        if rabi_freq:
+            amp = rabi_freq / np.sqrt(2.0)
+            h = h + np.where(cross, amp * (np.cos(phase) * sx + np.sin(phase) * sy), 0.0)
+        return h
+    return p0, hamiltonian
+
+
 def per_segment_propagate(system, env, seq, coh):
     """Reference: one eigh of every segment Hamiltonian, waits included."""
-    frame = dynamics._RotatingFrame(system, env, seq.drive_freq)
+    p0, hamiltonian = reference_frame(system, env, seq.drive_freq)
     if coh is None:
         t_rabi = t_free = t1_us = np.inf
     else:
         t_rabi, t_free, t1_us = coh.t_rho_rabi, coh.t2_star, coh.t1 * 1000.0
-    rho = frame.initial_state()
+    rho = p0 / np.trace(p0).real
     for e in seq.elements[1:-1]:
         if isinstance(e, MwPulse):
-            h, t_coh = frame.hamiltonian(e.rabi_freq, e.phase), t_rabi
+            h, t_coh = hamiltonian(e.rabi_freq, e.phase), t_rabi
         else:
-            h, t_coh = frame.hamiltonian(0.0, 0.0), t_free
+            h, t_coh = hamiltonian(0.0, 0.0), t_free
         evals, evecs = np.linalg.eigh(h)
         phases = np.exp(-2j * np.pi * evals * e.duration)
         n = len(evals)
@@ -363,7 +388,7 @@ def per_segment_propagate(system, env, seq, coh):
             relax = np.exp(-e.duration / t1_us)
             np.fill_diagonal(rho_e, 1.0 / n + (np.diag(rho_e).real - 1.0 / n) * relax)
         rho = evecs @ rho_e @ evecs.conj().T
-    return frame.ms0_population(rho), rho
+    return np.trace(rho @ p0).real, rho
 
 
 @pytest.mark.parametrize("coh", [None, COH], ids=["unitary", "decoherent"])
@@ -384,6 +409,44 @@ def test_xy8_d18_diagonalizes_frame_and_two_pulse_phases(monkeypatch):
     calls = count_eigensolves(monkeypatch)
     propagate_sequence(system, env, seq, COH)
     assert len(calls) == 3  # the rotating frame, then one per pulse phase
+
+
+@pytest.mark.parametrize("coh", [None, COH], ids=["unitary", "decoherent"])
+def test_xy8_builds_each_distinct_segment_once_and_matches_reference(monkeypatch, coh):
+    # 19 segments: half-pi pulses and tau/2 waits twice each, pi pulses at
+    # phases 0 and pi/2 four times each, tau waits seven times
+    system, env, drive = spin_case(18)
+    seq = sequence("xy8", drive, 0.41)
+    segment_factors, builds = dynamics._segment_factors, []
+
+    def counting_factors(*args):
+        builds.append(args)
+        return segment_factors(*args)
+
+    monkeypatch.setattr(dynamics, "_segment_factors", counting_factors)
+    result, rho = propagate_sequence(system, env, seq, coh, return_state=True)
+    assert len(seq.elements) - 2 == 19
+    assert len(builds) == 5  # three pulses (two phases of pi), two waits
+    population, rho_ref = per_segment_propagate(system, env, seq, coh)
+    assert abs(result.population - population) < 1e-12
+    assert np.max(np.abs(rho - rho_ref)) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [3, 9, 18])
+def test_rabi_sweep_matches_per_segment_reference(dim):
+    system, env, drive = spin_case(dim)
+    times = np.array([0.0, 0.013, 0.05, 0.11, 0.29, 0.6, 1.37, 2.2])
+    curve = simulate_rabi(system, env, None, drive, 8.0, times, readout_contrast=1.0)
+    for t, signal in zip(times, curve.signal):
+        seq = PulseSequence((LaserInit(1.0), MwPulse(drive, 8.0, 0.0, t), Readout(0.5)))
+        assert abs(signal - per_segment_propagate(system, env, seq, None)[0]) < 1e-12
+
+
+def test_rabi_sweep_diagonalizes_frame_then_drive(monkeypatch):
+    system, env, drive = spin_case(18)
+    calls = count_eigensolves(monkeypatch)
+    simulate_rabi(system, env, COH, drive, 8.0, np.linspace(0.0, 1.0, 101))
+    assert len(calls) == 2  # the rotating frame, then the drive Hamiltonian
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvkit import fitting, odmr
+from nvkit import fitting, odmr, spin_model
 from nvkit.fitting import numeric_jacobian
 from nvkit.noise import NoiseSpec
 from nvkit.odmr import (
@@ -144,6 +144,22 @@ def test_orientations_with_one_field_projection_share_one_eigensolve(monkeypatch
                                                        orientation=orient), env)
         assert freqs.tobytes() == own_freqs.tobytes()
         assert strengths.tobytes() == own_strengths.tobytes()
+
+
+@pytest.mark.parametrize("b_lab", [np.zeros(3), np.array([1.0, 2.0, 3.0])],
+                         ids=["zero", "generic"])
+def test_four_orientation_synthesis_projects_the_field_once_per_orientation(monkeypatch, b_lab):
+    calls = []
+    projection = spin_model._projection
+
+    def counted(b, axis):
+        calls.append(axis)
+        return projection(b, axis)
+    monkeypatch.setattr(spin_model, "_projection", counted)
+    system = SpinSystem(nuclei=(HyperfineCoupling.nitrogen14(),))
+    env = FieldEnvironment(b_lab=b_lab, shift_xi=1.0, splitting_delta=0.5)
+    synthesize_spectrum(system, env, "pulsed", GRID, ensemble=True)
+    assert len(calls) == 4
 
 
 def _count_calls(monkeypatch, *names):
