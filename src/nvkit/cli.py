@@ -45,11 +45,6 @@ DEFAULT_PSF = (0.45, 0.45, 2.0)
 # imports no science module
 DECAY_MODELS = ("stretched", "single_exp", "stretched_osc")
 
-SUBCOMMANDS = (
-    "odmr-sim", "odmr-fit", "seq-sim", "decay-fit", "freq-extract",
-    "g2-fit", "sat-fit", "density", "enhance", "sensitivity", "map-slice",
-)
-
 
 class UsageError(Exception):
     """Bad flag/config usage; maps to exit code 2."""
@@ -108,15 +103,11 @@ def _parse_nuclei(text: str):
         except ValueError:
             raise UsageError(f"--nuclei: expected numeric couplings (MHz), "
                              f"got {token!r}") from None
-        if name == "n14":
-            base = spin_model.HyperfineCoupling.nitrogen14()
-        elif name == "c13":
-            base = spin_model.HyperfineCoupling.carbon13()
-        else:
+        factory = {"n14": spin_model.HyperfineCoupling.nitrogen14,
+                   "c13": spin_model.HyperfineCoupling.carbon13}.get(name)
+        if factory is None:
             raise UsageError(f"--nuclei: unknown species {name!r}")
-        a_par = extra[0] if len(extra) > 0 else base.a_parallel
-        a_perp = extra[1] if len(extra) > 1 else base.a_perp
-        nuclei.append(spin_model.HyperfineCoupling(base.species, a_par, a_perp))
+        nuclei.append(factory(*extra))
     return tuple(nuclei)
 
 
@@ -395,9 +386,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         prog="nvkit",
         description="NV-center spin simulation and analysis toolkit")
     subs = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
-    table: dict[str, tuple] = {}
+    table: dict[str, tuple] = {}  # name -> (parser, handler, dests of its required flags)
 
-    p = subs.add_parser("odmr-sim", help="synthesize a CW or pulsed ODMR spectrum")
+    def add(name, summary, handler, required=()):
+        table[name] = (subs.add_parser(name, help=summary), handler, required)
+        return table[name][0]
+
+    p = add("odmr-sim", "synthesize a CW or pulsed ODMR spectrum", cmd_odmr_sim)
     _add_spin_flags(p)
     p.add_argument("--mode", choices=("cw", "pulsed"), default="cw")
     p.add_argument("--fmin", type=float, default=2820.0, help="grid start (MHz)")
@@ -407,16 +402,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--ensemble", action="store_true",
                    help="average the four NV orientations")
     _add_output_flags(p, "write spectrum file")
-    table["odmr-sim"] = (p, cmd_odmr_sim, ())
 
-    p = subs.add_parser("odmr-fit", help="fit Lorentzian dips to a spectrum file")
+    p = add("odmr-fit", "fit Lorentzian dips to a spectrum file", cmd_odmr_fit, ("infile",))
     p.add_argument("--in", dest="infile", default=None, help="spectrum file")
     p.add_argument("--n-dips", type=int, default=2)
     p.add_argument("--d-ref", type=float, default=D_ZFS_MHZ,
                    help="reference zero-field splitting (MHz)")
-    table["odmr-fit"] = (p, cmd_odmr_fit, ("infile",))
 
-    p = subs.add_parser("seq-sim", help="simulate a pulse-sequence sweep")
+    p = add("seq-sim", "simulate a pulse-sequence sweep", cmd_seq_sim, ("kind",))
     p.add_argument("--kind", choices=("rabi", "fid", "hahn", "t1"), default=None)
     _add_spin_flags(p)
     _add_coherence_flags(p)
@@ -432,30 +425,25 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--larmor-khz", type=float, default=50.0,
                    help="hahn: bath Larmor frequency (kHz)")
     _add_output_flags(p, "write decay-curve file")
-    table["seq-sim"] = (p, cmd_seq_sim, ("kind",))
 
-    p = subs.add_parser("decay-fit", help="fit a decay envelope to a curve file")
+    p = add("decay-fit", "fit a decay envelope to a curve file", cmd_decay_fit, ("infile",))
     p.add_argument("--in", dest="infile", default=None, help="decay-curve file")
     p.add_argument("--model",
                    choices=DECAY_MODELS,
                    default="stretched")
-    table["decay-fit"] = (p, cmd_decay_fit, ("infile",))
 
-    p = subs.add_parser("freq-extract", help="extract oscillation frequencies")
+    p = add("freq-extract", "extract oscillation frequencies", cmd_freq_extract, ("infile",))
     p.add_argument("--in", dest="infile", default=None, help="decay-curve file")
     p.add_argument("--max-components", type=int, default=3)
-    table["freq-extract"] = (p, cmd_freq_extract, ("infile",))
 
-    p = subs.add_parser("g2-fit", help="fit the photon-correlation model")
+    p = add("g2-fit", "fit the photon-correlation model", cmd_g2_fit, ("infile",))
     p.add_argument("--in", dest="infile", default=None, help="g2 curve file")
-    table["g2-fit"] = (p, cmd_g2_fit, ("infile",))
 
-    p = subs.add_parser("sat-fit", help="fit the PL saturation curve")
+    p = add("sat-fit", "fit the PL saturation curve", cmd_sat_fit, ("infile",))
     p.add_argument("--in", dest="infile", default=None,
                    help="file with power_mW counts_per_s rows")
-    table["sat-fit"] = (p, cmd_sat_fit, ("infile",))
 
-    p = subs.add_parser("density", help="estimate NV density from PL rates")
+    p = add("density", "estimate NV density from PL rates", cmd_density, ("c_ens", "c_single"))
     p.add_argument("--c-ens", type=float, default=None,
                    help="ensemble PL rate (counts/s)")
     p.add_argument("--c-single", type=float, default=None,
@@ -466,28 +454,26 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    help="excitation power, enables the linearity warning")
     p.add_argument("--psat-mw", type=float, default=None,
                    help="saturation power, enables the linearity warning")
-    table["density"] = (p, cmd_density, ("c_ens", "c_single"))
 
-    p = subs.add_parser("enhance", help="PL enhancement ratio of two regions")
+    p = add("enhance", "PL enhancement ratio of two regions", cmd_enhance,
+            ("region_a", "region_b"))
     p.add_argument("--region-a", type=float, default=None, help="rate A (counts/s)")
     p.add_argument("--region-b", type=float, default=None, help="rate B (counts/s)")
-    table["enhance"] = (p, cmd_enhance, ("region_a", "region_b"))
 
-    p = subs.add_parser("sensitivity", help="shot-noise-limited field sensitivity")
+    p = add("sensitivity", "shot-noise-limited field sensitivity", cmd_sensitivity,
+            ("count_rate", "contrast", "t2star_us", "t2_us"))
     p.add_argument("--count-rate", type=float, default=None, help="PL rate (counts/s)")
     p.add_argument("--contrast", type=float, default=None, help="ODMR contrast (0-1)")
     p.add_argument("--readout-us", type=float, default=0.5, help="readout window (us)")
     p.add_argument("--t2star-us", type=float, default=None, help="T2* (us)")
     p.add_argument("--t2-us", type=float, default=None, help="T2 (us)")
-    table["sensitivity"] = (p, cmd_sensitivity,
-                            ("count_rate", "contrast", "t2star_us", "t2_us"))
 
-    p = subs.add_parser("map-slice", help="Gaussian fit of a PL-map slice")
+    p = add("map-slice", "Gaussian fit of a PL-map slice", cmd_map_slice,
+            ("infile", "axis", "index"))
     p.add_argument("--in", dest="infile", default=None, help="plmap file")
     p.add_argument("--axis", default=None, help="slice axis: x, y or z")
     p.add_argument("--index", default=None,
                    help="fixed indices of the other axes, comma-separated")
-    table["map-slice"] = (p, cmd_map_slice, ("infile", "axis", "index"))
 
     for p, _, _ in table.values():
         p.add_argument("--config", default=None,
@@ -498,8 +484,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 # ---------------------------------------------------------------------------
 # config file
 
-def load_config(path: str) -> dict:
-    """Parse the sectioned key=value config grammar with line diagnostics."""
+def load_config(path: str, commands) -> dict:
+    """Parse the config grammar with line diagnostics; a section must name one of ``commands``."""
     sections: dict[str, dict] = {}
     current = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -509,7 +495,7 @@ def load_config(path: str) -> dict:
                 continue
             if line.startswith("[") and line.endswith("]"):
                 name = line[1:-1].strip()
-                if name not in SUBCOMMANDS:
+                if name not in commands:
                     raise UsageError(f"{path}:{lineno}: unknown section [{name}]")
                 current = sections.setdefault(name, {})
                 continue
@@ -569,7 +555,7 @@ def main(argv=None) -> int:
     try:
         config_path = args.config or os.environ.get("NVKIT_CONFIG")
         if config_path:
-            apply_config(sub_parser, args.command, load_config(config_path), config_path)
+            apply_config(sub_parser, args.command, load_config(config_path, table), config_path)
             args = parser.parse_args(argv)  # every flag given wins over the config
         for action in sub_parser._actions:
             if action.dest in required and getattr(args, action.dest) is None:

@@ -487,13 +487,15 @@ def fit_decay_envelope(curve: DecayCurve, model: DecayModel,
         return np.exp(-np.power(np.clip(t / t_coh, 0.0, 50.0), n))
 
     if model is DecayModel.STRETCHED_TIMES_OSC:
+        basis = [(np.cos(2 * np.pi * fk * times), np.sin(2 * np.pi * fk * times))
+                 for fk in freqs]
+
         def residuals(p):
             b, t_coh, n = p[:3]
             quads = p[3:].reshape(-1, 2)
             osc = np.zeros_like(times)
-            for (ck, sk), fk in zip(quads, freqs):
-                osc = osc + ck * np.cos(2 * np.pi * fk * times) \
-                          + sk * np.sin(2 * np.pi * fk * times)
+            for (ck, sk), (cos_k, sin_k) in zip(quads, basis):
+                osc = osc + ck * cos_k + sk * sin_k
             return (b + envelope(times, t_coh, n) * osc - signal) * weights
 
         x0 = np.concatenate([[baseline0, t0, 1.5], np.tile([amp0, 0.0], len(freqs))])
@@ -539,6 +541,7 @@ def extract_frequencies(curve: DecayCurve, max_components: int):
     """
     if not (float(max_components).is_integer() and max_components >= 1):
         raise DynamicsError(f"max_components must be at least 1 and whole, got {max_components!r}")
+    max_components = int(max_components)
     if len(curve.times) < 2 * max_components:
         raise DynamicsError("too few points for the requested component count")
     times, signal = curve.times, curve.signal

@@ -22,14 +22,12 @@ Jacobians. ``dynamics.fit_decay_envelope``, ``dynamics.extract_frequencies``,
 ``photon_stats.fit_saturation`` and ``confocal.fit_gaussian_slice`` use
 :func:`numeric_jacobian`, which costs two residual calls per parameter.
 
-:func:`median` and :func:`percentile` return ``np.median``'s and
-``np.percentile``'s values without importing ``numpy.ma``, which those
-functions load on their first call.
+:func:`median` returns ``np.median``'s value without importing
+``numpy.ma``, which ``np.median`` loads on its first call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,30 +200,6 @@ def median(values) -> float:
     kth = [(n - 1) // 2] if n % 2 else [n // 2 - 1, n // 2]
     ordered = np.partition(values, kth + [-1])
     return float(ordered[kth[0]:kth[-1] + 1].mean())
-
-
-def percentile(values, q) -> float:
-    """The ``q``-th percentile of a 1-D array of finite values, equal to ``np.percentile``'s.
-
-    numpy's default linear method: the virtual index is (n - 1) * q / 100,
-    and the two order statistics around it are interpolated from the upper
-    one when the weight t is 0.5 or more, as numpy's ``_lerp`` does. The
-    order statistics come from ``np.partition`` with numpy's own ``kth``
-    list, not from a sort: a sort can order equal values (0.0 and -0.0)
-    differently and change the sign of a zero result. ``np.percentile``
-    imports ``numpy.ma`` on its first call, which adds about 20 ms to each
-    CLI process that seeds an ODMR fit.
-    """
-    values = np.asarray(values, dtype=float)
-    index = (values.size - 1) * (q / 100)
-    lower = math.floor(index)
-    upper = lower + 1
-    if upper >= values.size:  # numpy reads the last value twice, with t = index + 1
-        lower = upper = -1
-    ordered = np.partition(values, sorted({0, -1, lower, upper}))
-    a, b = ordered[lower], ordered[upper]
-    t = index - lower
-    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
 
 
 def _standard_errors(jac, r):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import D_ZFS_MHZ
-from .fitting import FitResult, levenberg_marquardt, percentile, sigma_weights
+from .fitting import FitResult, levenberg_marquardt, sigma_weights
 from .noise import NoiseSpec, apply_noise
 from .spin_model import (
     NV_ORIENTATIONS,
@@ -223,13 +223,16 @@ def _half_depth_extent(smooth, baseline, i):
 def _initial_model(spectrum: OdmrSpectrum, n_dips: int) -> LineShapeModel:
     """Seed dip parameters from the deepest local minima after smoothing.
 
+    The baseline seed is the smoothed signal's value of rank round(0.9 (n - 1)),
+    which is ``np.percentile(smooth, 90)`` whenever 0.9 (n - 1) is whole.
     Once a minimum is picked, candidates inside its half-depth extent are
     excluded so noise wiggles within one dip cannot claim two seeds.
     """
     freqs, signal = spectrum.freqs, spectrum.signal
     kernel = np.ones(5) / 5.0
     smooth = np.convolve(signal, kernel, mode="same")
-    baseline = percentile(smooth, 90)
+    rank = round(0.9 * (len(smooth) - 1))
+    baseline = float(np.partition(smooth, rank)[rank])
 
     inner = smooth[1:-1]
     minima = 1 + np.flatnonzero((inner <= smooth[:-2]) & (inner < smooth[2:]))
@@ -270,15 +273,6 @@ def _pack(model: LineShapeModel) -> np.ndarray:
     return np.concatenate([[model.baseline],
                            np.column_stack([model.centers, model.contrasts,
                                             model.fwhms]).ravel()])
-
-
-def _unpack(params: np.ndarray) -> LineShapeModel:
-    baseline = params[0]
-    trip = params[1:].reshape(-1, 3)
-    order = np.argsort(trip[:, 0])
-    trip = trip[order]
-    return LineShapeModel(trip[:, 0], np.clip(trip[:, 1], 0.0, 0.999999),
-                          trip[:, 2], baseline=baseline)
 
 
 def _dip_terms(params, freqs):
@@ -340,8 +334,8 @@ def fit_spectrum(
     Jacobian share the per-dip terms of :func:`_dip_terms`: the Jacobian
     reuses those of the last residual call when it is asked for the same
     point object, which is how the solver calls it. The shift/splitting
-    summary uses the mean and spread of the outermost fitted centers
-    relative to ``d_reference``, which must be finite. ``n_dips`` must be a whole
+    summary is :func:`invert_shift_splitting` of the outermost fitted
+    centers and ``d_reference``, which must be finite. ``n_dips`` must be a whole
     number from 1 to (points - 1) / 3: no more parameters than points.
     """
     require(OdmrError, "d_reference", d_reference)
@@ -382,17 +376,11 @@ def fit_spectrum(
     dips = 1 + 3 * np.argsort(fit.params[1:].reshape(-1, 3)[:, 0])
     order = np.concatenate([[0], (dips[:, None] + np.arange(3)).ravel()])
     report = replace(fit, params=fit.params[order], stderr=fit.stderr[order])
-    model = _unpack(report.params)
-
-    v_lo, v_hi = model.centers[0], model.centers[-1]
-    return OdmrFitResult(
-        model=model,
-        d_fit=d_reference,
-        xi_fit=0.5 * (v_lo + v_hi) - d_reference,
-        delta_fit=0.25 * (v_hi - v_lo),
-        delta_half_separation=0.5 * (v_hi - v_lo),
-        report=report,
-    )
+    p = report.params
+    model = LineShapeModel(p[1::3], p[2::3], p[3::3], baseline=p[0])
+    xi, delta = invert_shift_splitting(model.centers[0], model.centers[-1], d_reference)
+    return OdmrFitResult(model=model, d_fit=d_reference, xi_fit=xi, delta_fit=delta,
+                         delta_half_separation=2 * delta, report=report)
 
 
 def invert_shift_splitting(v_minus: float, v_plus: float, d: float):

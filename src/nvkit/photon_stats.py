@@ -177,12 +177,18 @@ def fit_g2(curve: G2Curve, init=None) -> G2FitResult:
     the two bunching components are label-ordered by time constant.
     Residuals are weighted by 1/sigma; a point with sigma = 0 gets weight 1.
     The solver gets the closed-form Jacobian of the weighted residual.
+    ``init``, when given, is 7 finite values in the order of :func:`g2_model`.
     """
     if len(curve.taus) < 14:
         raise PhotonStatsError("need at least 14 points spanning the dip and shoulders")
+    if init is None:
+        x0 = _initial_g2_params(curve)
+    elif (x0 := np.asarray(init, dtype=float)).shape != (7,):
+        raise PhotonStatsError(f"init must hold 7 values, got shape {x0.shape}")
+    else:
+        require(PhotonStatsError, "init", x0)
     taus, g2 = curve.taus, curve.g2
     weights = sigma_weights(curve.sigma)
-    x0 = np.asarray(init, dtype=float) if init is not None else _initial_g2_params(curve)
 
     def residuals(p):
         return (g2_model(taus, p) - g2) * weights
@@ -234,6 +240,9 @@ def fit_saturation(powers, counts) -> SaturationFit:
     """Fit the saturation curve to (power, counts) samples."""
     powers = np.asarray(powers, dtype=float)
     counts = np.asarray(counts, dtype=float)
+    if powers.shape != counts.shape:
+        raise PhotonStatsError(f"powers and counts must have the same shape, "
+                               f"got {powers.shape} and {counts.shape}")
     require(PhotonStatsError, "powers", powers, "finite and positive")
     # np.unique would import numpy.ma, about 20 ms per CLI process
     if np.count_nonzero(np.diff(np.sort(powers, axis=None))) < 2:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import nvkit
 from nvkit.confocal import (
     ConfocalError, DensityEstimate, DensityMethod, GaussianSliceFit, PLMap, PsfModel,
-    enhancement_ratio, estimate_density,
+    enhancement_ratio, estimate_density, fit_gaussian_slice, gaussian_profile,
 )
 from nvkit.dynamics import (
     CoherenceParams, DecayCurve, DecayModel, DynamicsError, EnvelopeFit, LaserInit, MwPulse,
@@ -31,7 +31,7 @@ from nvkit.odmr import (
     LineShapeModel, OdmrError, OdmrSpectrum, fit_spectrum, synthesize_spectrum,
 )
 from nvkit.photon_stats import (
-    G2Curve, PhotonStatsError, SaturationFit, fit_saturation, saturation_model,
+    G2Curve, PhotonStatsError, SaturationFit, fit_g2, fit_saturation, saturation_model,
     synthesize_g2,
 )
 from nvkit.spin_model import (
@@ -58,6 +58,13 @@ PSF = PsfModel(0.45, 0.45, 2.0)
 # two dips at 2854 and 2886 MHz on the 41-point grid, which admits at most 13
 SPECTRUM = synthesize_spectrum(SYSTEM, FieldEnvironment(b_lab=np.array([0.0, 0.0, 1.0])),
                                "cw", GRID)
+G2 = synthesize_g2(TAUS, G2_PARAMS)
+# a Gaussian row along x, (amplitude, center, fwhm, baseline) = SLICE_PARAMS, at each y
+SLICE_X = np.linspace(0.0, 1.1, 12)
+SLICE_PARAMS = np.array([1.0, 0.5, 0.4, 0.1])
+SLICE_MAP = PLMap((SLICE_X, Y_AXIS),
+                  np.repeat(gaussian_profile(SLICE_X, *SLICE_PARAMS)[:, None], Y_AXIS.size, 1),
+                  0.3)
 OSC_TIMES = np.linspace(0.0, 5.0, 64)
 BEATING = DecayCurve(OSC_TIMES, 0.5 + 0.4 * np.exp(-(OSC_TIMES / 2.0) ** 1.5)
                      * np.cos(2 * np.pi * 1.5 * OSC_TIMES), np.full(64, 0.01))
@@ -129,6 +136,9 @@ CASES = [
     Case(fit_spectrum, "n_dips", OdmrError, 2,
          NONFINITE | FRACTIONAL | st.integers(max_value=0) | st.integers(min_value=14),
          lambda n: fit_spectrum(SPECTRUM, n)),
+    Case(fit_spectrum, "init", OdmrError, np.array([2854.0, 2886.0]), NONFINITE,
+         lambda c: fit_spectrum(SPECTRUM, 2, init=LineShapeModel(c, [0.1, 0.1], [8.0, 8.0])),
+         "centers"),
     # dynamics
     *fields_of(LaserInit, DynamicsError, dict(duration=1.0), dict(duration=NEGATIVE)),
     *fields_of(MwPulse, DynamicsError, dict(freq=2870.0, rabi_freq=5.0, phase=0.0,
@@ -176,6 +186,8 @@ CASES = [
     *arguments_of(synthesize_g2, PhotonStatsError, dict(taus=TAUS, params=G2_PARAMS), {}),
     Case(synthesize_g2, "params", PhotonStatsError, G2_PARAMS[2::2], NONPOSITIVE,
          lambda t: synthesize_g2(TAUS, np.insert(G2_PARAMS[[0, 1, 3, 5]], [2, 3, 4], t))),
+    Case(fit_g2, "init", PhotonStatsError, G2_PARAMS, NONFINITE,
+         lambda p: fit_g2(G2, init=p)),
     Case(saturation_model, "powers", PhotonStatsError, POWERS, NEGATIVE,
          lambda p: saturation_model(p, SaturationFit(c_sat=1e3, p_sat=1.0))),
     *arguments_of(fit_saturation, PhotonStatsError, dict(powers=POWERS, counts=COUNTS),
@@ -189,6 +201,9 @@ CASES = [
     *fields_of(GaussianSliceFit, ConfocalError,
                dict(amplitude=1.0, center=0.5, fwhm=0.4, baseline=0.1),
                dict(amplitude=NEGATIVE, fwhm=NONPOSITIVE)),
+    Case(fit_gaussian_slice, "init", ConfocalError, SLICE_PARAMS, NONFINITE,
+         lambda p: fit_gaussian_slice(SLICE_MAP, 0, [1], init=GaussianSliceFit(*p)),
+         "amplitude|center|fwhm|baseline"),
     *fields_of(PsfModel, ConfocalError, dict(w_x=0.45, w_y=0.45, w_z=2.0),
                dict(w_x=NONPOSITIVE, w_y=NONPOSITIVE, w_z=NONPOSITIVE)),
     *fields_of(DensityEstimate, ConfocalError, dict(number_density=1.0, ppb=5.7),

@@ -397,6 +397,16 @@ def test_malformed_nuclei_is_a_usage_error(nuclei):
     assert stdout == ""
 
 
+def test_nuclei_overrides_are_handed_to_the_species_factories(monkeypatch):
+    # so that every default of a factory, not only the two couplings, reaches the system
+    from nvkit import cli
+    coupling = nvkit.HyperfineCoupling
+    monkeypatch.setattr(coupling, "nitrogen14", staticmethod(lambda *args: ("n14", args)))
+    monkeypatch.setattr(coupling, "carbon13", staticmethod(lambda *args: ("c13", args)))
+    assert cli._parse_nuclei("n14,c13:6.43, N14:-2.2:-2.5") == (
+        ("n14", ()), ("c13", (6.43,)), ("n14", (-2.2, -2.5)))
+
+
 def test_density_warns_above_linearity_threshold():
     result = run_cli(["density", "--c-ens", "9.28e6", "--c-single", "7.7e3",
                       "--power-mw", "0.3", "--psat-mw", "1.10"])

@@ -656,6 +656,18 @@ def test_extract_and_fit_reject_a_fractional_or_nonfinite_component_count(max_co
             call()
 
 
+def test_extract_and_fit_take_a_whole_float_component_count():
+    times = np.linspace(0.0, 10.0, 400)
+    signal = 0.5 + np.exp(-(times / 4.0) ** 1.5) * (0.3 * np.cos(2 * np.pi * 1.0 * times)
+                                                    + 0.2 * np.cos(2 * np.pi * 2.5 * times))
+    curve = DecayCurve(times, signal, np.full(times.size, 0.01))
+    assert extract_frequencies(curve, 2.0) == extract_frequencies(curve, 2)
+    osc = DecayModel.STRETCHED_TIMES_OSC
+    as_float, as_int = fit_decay_envelope(curve, osc, 2.0), fit_decay_envelope(curve, osc, 2)
+    assert len(as_int.frequencies) == 2 and as_float.frequencies == as_int.frequencies
+    assert np.array_equal(as_float.report.params, as_int.report.params)
+
+
 def test_fit_ending_on_a_bound_of_t_coh_or_n_stretch_raises():
     # exp(-(t/2)^4): the stretch exponent lies above the fit's (0.5, 3) range
     t = np.linspace(0.05, 6.0, 300)

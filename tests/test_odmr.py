@@ -409,11 +409,12 @@ def test_fit_matches_the_fit_with_per_dip_loops():
         fit = fit_spectrum(spec, n_dips)
         reference = _fit_reference(spec, n_dips)
         assert fit.report.iterations == reference.iterations
-        model = odmr._unpack(reference.params)
-        for ours, theirs in ((fit.model.centers, model.centers),
-                             (fit.model.contrasts, model.contrasts),
-                             (fit.model.fwhms, model.fwhms),
-                             (fit.model.baseline, model.baseline)):
+        dips = reference.params[1:].reshape(-1, 3)
+        dips = dips[np.argsort(dips[:, 0])]  # (center, contrast, FWHM) rows by center
+        for ours, theirs in ((fit.model.centers, dips[:, 0]),
+                             (fit.model.contrasts, dips[:, 1]),
+                             (fit.model.fwhms, dips[:, 2]),
+                             (fit.model.baseline, reference.params[0])):
             np.testing.assert_allclose(ours, theirs, rtol=1e-10, atol=0)
 
 
@@ -545,6 +546,31 @@ def test_vectorized_seeding_returns_the_reference_picks():
             assert np.array_equal(model.fwhms, widths)
             assert model.baseline == baseline
     assert tied
+
+
+def _noisy_doublet(points):
+    """A two-dip ensemble spectrum and its 5-point smoothed signal, on ``points`` points."""
+    env = FieldEnvironment(shift_xi=2.5, splitting_delta=4.1)
+    spectrum = synthesize_spectrum(SpinSystem(), env, "cw", np.linspace(2835.0, 2905.0, points),
+                                   ensemble=True,
+                                   noise=NoiseSpec("gaussian", sigma=0.005, seed=points))
+    return spectrum, np.convolve(spectrum.signal, np.ones(5) / 5.0, mode="same")
+
+
+@pytest.mark.parametrize("points", [101, 201, 401, 481, 701, 801])
+def test_seed_baseline_is_numpys_90th_percentile_where_its_rank_is_whole(points):
+    # 0.9 (points - 1) is whole on these grids, the CLI's, README's and bench's among them
+    spectrum, smooth = _noisy_doublet(points)
+    baseline = odmr._initial_model(spectrum, 2).baseline
+    assert np.float64(baseline).tobytes() == np.float64(np.percentile(smooth, 90)).tobytes()
+
+
+def test_seed_baseline_off_a_whole_rank_is_the_nearest_rank():
+    # 0.9 * 332 = 298.8: np.percentile interpolates, the seed takes rank 299
+    spectrum, smooth = _noisy_doublet(333)
+    baseline = odmr._initial_model(spectrum, 2).baseline
+    assert baseline == np.sort(smooth)[299]
+    assert baseline != np.percentile(smooth, 90)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,17 @@ def test_fit_noiseless_from_truth_is_exact():
     assert fit.report.converged
 
 
+@pytest.mark.parametrize("init, message", [
+    (REF_PARAMS[:6], r"init must hold 7 values, got shape \(6,\)"),
+    (np.append(REF_PARAMS[:6], np.nan), "init must be finite"),
+    (np.append(REF_PARAMS[:6], np.inf), "init must be finite"),
+], ids=["six values", "nan", "inf"])
+def test_fit_g2_rejects_an_init_other_than_seven_finite_values(init, message):
+    curve = synthesize_g2(np.linspace(-50.0, 50.0, 32), REF_PARAMS)
+    with pytest.raises(PhotonStatsError, match=message):
+        fit_g2(curve, init=init)
+
+
 def test_fit_roundtrip_with_noise():
     taus = reference_grid()
     curve = synthesize_g2(taus, REF_PARAMS,
@@ -203,6 +214,12 @@ def test_saturation_rejects_nonfinite_powers(bad):
         fit_saturation([0.5, 1.0, bad, 4.0], [100.0, 200.0, 300.0, 400.0])
     with pytest.raises(PhotonStatsError, match="powers must be finite"):
         saturation_model([bad], SaturationFit(c_sat=1e5, p_sat=1.1))
+
+
+def test_fit_saturation_rejects_powers_and_counts_of_different_shapes():
+    with pytest.raises(PhotonStatsError, match=r"powers and counts must have the same shape, "
+                                               r"got \(4,\) and \(3,\)"):
+        fit_saturation([0.5, 1, 2, 4], [1e4, 2e4, 3e4])
 
 
 def test_fit_saturation_distinct_powers_count_ties():
