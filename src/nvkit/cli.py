@@ -39,6 +39,7 @@ import numpy as np
 # the handlers once the tracer imports what it wraps (see ROADMAP.md).
 from . import confocal
 from .constants import D_ZFS_MHZ
+from .tables import require
 
 DEFAULT_PSF = (0.45, 0.45, 2.0)
 # the values of dynamics.DecayModel, listed here so that building the parser
@@ -156,6 +157,7 @@ def _write_outputs(args, record, save, data, columns):
 def cmd_odmr_sim(args):
     from . import odmr, spin_model
     system, env = _spin_inputs(args)
+    require(ValueError, "--points", args.points, "finite and nonnegative")
     grid = np.linspace(args.fmin, args.fmax, args.points)
     noise = _noise_spec(args)
     unmerged = odmr.orientation_lines(system, env, args.ensemble)
@@ -200,6 +202,7 @@ def cmd_seq_sim(args):
     from . import dynamics, spin_model
     system, env = _spin_inputs(args)
     coh = _coherence(args)
+    require(ValueError, "--points", args.points, "finite and nonnegative")
     times = np.linspace(args.tmin, args.tmax, args.points)
     spec = _noise_spec(args)
     if args.kind == "rabi":
@@ -295,7 +298,11 @@ def cmd_density(args):
     psf = confocal.PsfModel(*psf_values)
     method = confocal.DensityMethod(args.method)
     estimate = confocal.estimate_density(args.c_ens, args.c_single, psf, method)
-    if args.power_mw is not None and args.psat_mw is not None:
+    if args.power_mw is not None or args.psat_mw is not None:
+        for flag, value in (("--power-mw", args.power_mw), ("--psat-mw", args.psat_mw)):
+            if value is None:
+                raise UsageError(f"--power-mw and --psat-mw go together; {flag} is missing")
+            require(ValueError, flag, value, "finite and positive")
         deviation = args.power_mw / (args.power_mw + args.psat_mw)
         if deviation > 0.15:
             sys.stderr.write(

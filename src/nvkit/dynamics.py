@@ -36,7 +36,6 @@ from .spin_model import (
 from .tables import columns, read_table, require, write_table
 
 READOUT_CONTRAST_SINGLE = 0.2
-READOUT_CONTRAST_ENSEMBLE = 0.033
 
 
 class DynamicsError(ValueError):
@@ -54,18 +53,22 @@ def _check_fields(obj, rule="finite") -> None:
         require(DynamicsError, f"{kind} {f.name}", getattr(obj, f.name), field_rule)
 
 
-@dataclass(frozen=True)
-class LaserInit:
-    """Optical pumping into ms=0 (ideal polarization)."""
-
-    duration: float = 1.0  # us
+class _Element:
+    """Sequence element: each field is checked by name on construction."""
 
     def __post_init__(self):
         _check_fields(self)
 
 
 @dataclass(frozen=True)
-class MwPulse:
+class LaserInit(_Element):
+    """Optical pumping into ms=0 (ideal polarization)."""
+
+    duration: float = 1.0  # us
+
+
+@dataclass(frozen=True)
+class MwPulse(_Element):
     """Resonant-frame microwave drive segment.
 
     rabi_freq is the population oscillation frequency of an isolated
@@ -77,28 +80,19 @@ class MwPulse:
     phase: float = 0.0
     duration: float = 0.0  # us
 
-    def __post_init__(self):
-        _check_fields(self)
-
 
 @dataclass(frozen=True)
-class Wait:
+class Wait(_Element):
     """Free evolution."""
 
     duration: float  # us
 
-    def __post_init__(self):
-        _check_fields(self)
-
 
 @dataclass(frozen=True)
-class Readout:
+class Readout(_Element):
     """PL readout window mapping ms=0 population to signal."""
 
     window: float = 0.5  # us
-
-    def __post_init__(self):
-        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -126,10 +120,7 @@ class PulseSequence:
 
     @property
     def drive_freq(self) -> float:
-        for e in self.elements:
-            if isinstance(e, MwPulse):
-                return e.freq
-        return 0.0
+        return next((e.freq for e in self.elements if isinstance(e, MwPulse)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -362,8 +353,7 @@ def fid_detunings(system: SpinSystem, env: FieldEnvironment, detuning: float):
     lines = transition_lines(system, env, merge_tol=1e-3)
     if not lines:
         return [(detuning, 1.0)]
-    freqs = np.array([f for f, _ in lines])
-    weights = np.array([w for _, w in lines])
+    freqs, weights = map(np.array, zip(*lines))
     centroid = float(freqs @ weights / weights.sum())
     lower = freqs <= centroid + 1e-9
     if lower.any() and (~lower).any() and freqs[~lower].min() - freqs[lower].max() > 50.0:
@@ -392,10 +382,9 @@ def simulate_fid(
     require(DynamicsError, "stretch", stretch, "finite and positive")
     times = np.asarray(times, dtype=float)
     require(DynamicsError, "times", times, "finite and nonnegative")
-    comps = fid_detunings(system, env, detuning)
-    beat = np.zeros_like(times)
-    for delta, weight in comps:
-        beat = beat + weight * np.cos(2.0 * np.pi * delta * times)
+    deltas, weights = np.array(fid_detunings(system, env, detuning)).T[:, :, None]
+    # summed one component after another, in fid_detunings' order
+    beat = np.add.reduce(weights * np.cos(2.0 * np.pi * deltas * times), axis=0, initial=0.0)
     envelope = np.exp(-np.power(times / coh.t2_star, stretch))
     clean = baseline + amplitude * envelope * beat
     signal, sigma = apply_noise(clean, noise)
@@ -487,15 +476,14 @@ def fit_decay_envelope(curve: DecayCurve, model: DecayModel,
         return np.exp(-np.power(np.clip(t / t_coh, 0.0, 50.0), n))
 
     if model is DecayModel.STRETCHED_TIMES_OSC:
-        basis = [(np.cos(2 * np.pi * fk * times), np.sin(2 * np.pi * fk * times))
-                 for fk in freqs]
+        phases = 2 * np.pi * np.array(freqs)[:, None] * times
+        # rows cos_0, sin_0, cos_1, ..., in the order of the quadratures p[3:]
+        basis = np.stack((np.cos(phases), np.sin(phases)), axis=1).reshape(-1, len(times))
 
         def residuals(p):
             b, t_coh, n = p[:3]
-            quads = p[3:].reshape(-1, 2)
-            osc = np.zeros_like(times)
-            for (ck, sk), (cos_k, sin_k) in zip(quads, basis):
-                osc = osc + ck * cos_k + sk * sin_k
+            # summed one term after another, as osc + c_k cos_k + s_k sin_k
+            osc = np.add.reduce(p[3:, None] * basis, axis=0, initial=0.0)
             return (b + envelope(times, t_coh, n) * osc - signal) * weights
 
         x0 = np.concatenate([[baseline0, t0, 1.5], np.tile([amp0, 0.0], len(freqs))])
@@ -553,7 +541,7 @@ def extract_frequencies(curve: DecayCurve, max_components: int):
 
     y = signal - signal.mean()
     scale = np.max(np.abs(y))
-    if scale <= 1e-12 * max(abs(signal.mean()), 1.0) or scale == 0.0:
+    if scale <= 1e-12 * max(abs(signal.mean()), 1.0):
         return []
 
     dt = times[1] - times[0]
@@ -565,34 +553,29 @@ def extract_frequencies(curve: DecayCurve, max_components: int):
     mad = median(np.abs(mags[lo_cut:] - noise_floor))
     threshold = noise_floor + 8.0 * max(mad, 1e-12 * mags.max())
 
-    peaks = [i for i in range(max(lo_cut, 1), len(mags) - 1)
-             if mags[i] > threshold and mags[i] >= mags[i - 1] and mags[i] > mags[i + 1]]
-    peaks.sort(key=lambda i: -mags[i])
-    peaks = peaks[:max_components]
-    if not peaks:
+    mid = mags[lo_cut:-1]
+    peaks = lo_cut + np.flatnonzero((mid > threshold) & (mid >= mags[lo_cut - 1:-2])
+                                    & (mid > mags[lo_cut + 1:]))
+    # highest first; equal peaks keep the lower frequency first
+    peaks = peaks[np.argsort(-mags[peaks], kind="stable")][:max_components]
+    if not peaks.size:
         return []
     f_seed = np.sort(freqs[peaks])
-
-    k = len(f_seed)
     t_span = times[-1] - times[0]
 
     # envelope time-constant seed: where the block-maximum of |y| falls to 1/e
     block = max(int(round(1.0 / (max(f_seed[0], 1e-9) * dt))), 4)
-    tau_seed = t_span
-    for start in range(0, len(y), block):
-        if np.max(np.abs(y[start:start + block])) < scale / np.e:
-            tau_seed = max(times[start] - times[0], 3.0 * dt)
-            break
+    starts = np.arange(0, len(y), block)
+    low = np.flatnonzero(np.maximum.reduceat(np.abs(y), starts) < scale / np.e)
+    tau_seed = max(times[starts[low[0]]] - times[0], 3.0 * dt) if low.size else t_span
 
     def residuals(p):
-        tau_env = p[0]
-        env = np.exp(-np.clip((times - times[0]) / tau_env, 0.0, 50.0))
-        out = np.full_like(times, p[1])
-        for j in range(k):
-            fj, cj, sj = p[2 + 3 * j: 5 + 3 * j]
-            out = out + env * (cj * np.cos(2 * np.pi * fj * times)
-                               + sj * np.sin(2 * np.pi * fj * times))
-        return out - signal
+        env = np.exp(-np.clip((times - times[0]) / p[0], 0.0, 50.0))
+        f, c, s = p[2:].reshape(-1, 3).T[:, :, None]
+        phase = 2 * np.pi * f * times
+        # the offset p[1], then one component after another
+        return np.add.reduce(env * (c * np.cos(phase) + s * np.sin(phase)),
+                             axis=0, initial=p[1]) - signal
 
     x0 = [tau_seed, signal.mean()]
     bounds = [(2.0 * dt, 1e6 * t_span), (-np.inf, np.inf)]
@@ -603,12 +586,9 @@ def extract_frequencies(curve: DecayCurve, max_components: int):
                    (-4 * scale, 4 * scale), (-4 * scale, 4 * scale)]
     fit = levenberg_marquardt(residuals, x0, bounds=bounds)
 
-    comps = []
-    for j in range(k):
-        fj, cj, sj = fit.params[2 + 3 * j: 5 + 3 * j]
-        comps.append((float(fj), float(np.hypot(cj, sj))))
-    comps.sort(key=lambda fc: -fc[1])
-    return comps
+    f, c, s = fit.params[2:].reshape(-1, 3).T
+    amps = np.hypot(c, s)
+    return [(float(f[j]), float(amps[j])) for j in np.argsort(-amps, kind="stable")]
 
 
 # ---------------------------------------------------------------------------

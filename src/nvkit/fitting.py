@@ -104,22 +104,19 @@ def pinned(params, bounds, names) -> str:
                      if x <= lo or x >= hi)
 
 
-def _clip_to_bounds(x, box):
-    """``x`` projected into ``box``, the ``(2, n)`` array of lower and upper bounds."""
-    return x if box is None else np.clip(x, box[0], box[1])
-
-
 def levenberg_marquardt(residuals, x0, bounds=None, jac=None) -> FitResult:
     """Minimize ``sum(residuals(x)**2)`` starting from ``x0``.
 
     residuals: callable returning the weighted residual vector.
     bounds: optional sequence of (lo, hi) per parameter; trial points are
-        projected into the box.
+        projected into the box. None means unbounded, (-inf, inf) for each.
     jac: optional callable returning the residual Jacobian; central
         differences are used when absent.
     """
-    box = None if bounds is None else np.array(bounds, dtype=float).T
-    x = _clip_to_bounds(np.asarray(x0, dtype=float).copy(), box)
+    if bounds is None:
+        bounds = [(-np.inf, np.inf)] * len(x0)
+    lo, hi = np.array(bounds, dtype=float).T  # clipping to an infinite bound changes nothing
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     r = np.asarray(residuals(x), dtype=float)
     if not np.isfinite(r).all():
         raise FitError("residuals are not finite at the starting point")
@@ -150,7 +147,7 @@ def levenberg_marquardt(residuals, x0, bounds=None, jac=None) -> FitResult:
                 step = np.linalg.solve(a, -grad)
             except np.linalg.LinAlgError:
                 step, *_ = np.linalg.lstsq(a, -grad, rcond=None)
-            x_try = _clip_to_bounds(x + step, box)
+            x_try = np.clip(x + step, lo, hi)
             r_try = np.asarray(residuals(x_try), dtype=float)
             if not np.isfinite(r_try).all():
                 lam *= 10.0

@@ -255,18 +255,11 @@ def _initial_model(spectrum: OdmrSpectrum, n_dips: int) -> LineShapeModel:
         i = int((k + 1) * (len(freqs) - 1) / (n_dips + 1))
         picks.append(i)
         extents[i] = _half_depth_extent(smooth, baseline, i)
-    picks.sort()
-
-    centers, contrasts, widths = [], [], []
-    span = freqs[-1] - freqs[0]
-    for i in picks:
-        depth = max(baseline - smooth[i], 1e-4)
-        left, right = extents[i]
-        width = max(freqs[right] - freqs[left], span / len(freqs))
-        centers.append(freqs[i])
-        contrasts.append(min(depth, 0.999))
-        widths.append(width)
-    return LineShapeModel(centers, contrasts, widths, baseline=baseline)
+    picks = np.sort(picks)
+    left, right = np.array([extents[i] for i in picks]).T
+    depths = np.maximum(baseline - smooth[picks], 1e-4)
+    widths = np.maximum(freqs[right] - freqs[left], (freqs[-1] - freqs[0]) / len(freqs))
+    return LineShapeModel(freqs[picks], np.minimum(depths, 0.999), widths, baseline=baseline)
 
 
 def _pack(model: LineShapeModel) -> np.ndarray:
@@ -347,7 +340,7 @@ def fit_spectrum(
         raise OdmrError("spectrum is constant; nothing to fit")
     model0 = init if init is not None else _initial_model(spectrum, n_dips)
     if len(model0.centers) != n_dips:
-        raise OdmrError("initial model dip count does not match n_dips")
+        raise OdmrError(f"init holds {len(model0.centers)} dips, but n_dips is {n_dips}")
 
     freqs, signal = spectrum.freqs, spectrum.signal
     weights = sigma_weights(spectrum.sigma)
@@ -364,13 +357,11 @@ def fit_spectrum(
         terms = last[1] if params is last[0] else None
         return _dip_jacobian(params, freqs, weights, terms)
 
-    bounds = [(-np.inf, np.inf)]
-    for _ in range(n_dips):
-        bounds.extend([
-            (freqs[0] - span, freqs[-1] + span),
-            (0.0, 0.999999),
-            (span / (10.0 * len(freqs)), 2.0 * span),
-        ])
+    bounds = [(-np.inf, np.inf)] + [
+        (freqs[0] - span, freqs[-1] + span),
+        (0.0, 0.999999),
+        (span / (10.0 * len(freqs)), 2.0 * span),
+    ] * n_dips
 
     fit = levenberg_marquardt(residuals, x0, bounds=bounds, jac=jacobian)
     dips = 1 + 3 * np.argsort(fit.params[1:].reshape(-1, 3)[:, 0])

@@ -348,9 +348,7 @@ def unmerged_lines(system: SpinSystem, env: FieldEnvironment):
     """
     ops = _operators(system)
     evals, evecs = eigenlevels(build_hamiltonian(system, env))
-    sx = evecs.conj().T @ ops.sx @ evecs
-    sy = evecs.conj().T @ ops.sy @ evecs
-    p0 = evecs.conj().T @ ops.p0 @ evecs
+    sx, sy, p0 = evecs.conj().T @ np.array((ops.sx, ops.sy, ops.p0)) @ evecs
     pops = np.diag(p0).real / max(np.trace(p0).real, 1e-300)
 
     i, j = _pair_indices(len(evals))

@@ -415,6 +415,41 @@ def test_density_warns_above_linearity_threshold():
     assert "ppb" in result.stdout
 
 
+DENSITY = ["density", "--c-ens", "9.28e6", "--c-single", "7.7e3"]
+
+
+@pytest.mark.parametrize("power, psat, flag", [
+    ("-1", "1", "--power-mw"),  # was "float division by zero"
+    ("5", "-2", "--psat-mw"),  # was a "167% below" warning and exit 0
+    ("0", "1.1", "--power-mw"),
+    ("nan", "1.1", "--power-mw"),
+    ("0.3", "inf", "--psat-mw"),
+    ("inf", "nan", "--power-mw"),
+])
+def test_density_rejects_a_power_that_is_not_finite_and_positive(power, psat, flag):
+    code, out, err = run_main(DENSITY + ["--power-mw", power, "--psat-mw", psat])
+    assert code == 1
+    assert f"nvkit density: error: {flag} must be finite and positive" in err
+    assert "warning" not in err and out == ""
+
+
+@pytest.mark.parametrize("given, missing", [("--power-mw", "--psat-mw"),
+                                            ("--psat-mw", "--power-mw")])
+def test_density_power_flags_go_together(given, missing):
+    code, out, err = run_main(DENSITY + [given, "0.3"])
+    assert code == 2
+    assert f"go together; {missing} is missing" in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [["odmr-sim", "--points", "-5"],
+                                  ["seq-sim", "--kind", "fid", "--points", "-3"],
+                                  ["seq-sim", "--kind", "rabi", "--points", "-1"]])
+def test_negative_points_exits_1_naming_the_flag(argv):
+    code, out, err = run_main(argv)
+    assert code == 1
+    assert "--points must be finite and nonnegative" in err and out == ""
+
+
 # nvkit modules each subcommand loads beyond BASE_MODULES, which nvkit.cli
 # imports itself
 BASE_MODULES = {"nvkit", "nvkit.cli", "nvkit.confocal", "nvkit.constants", "nvkit.fitting",

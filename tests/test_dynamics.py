@@ -25,7 +25,7 @@ from nvkit.dynamics import (
     simulate_rabi,
     simulate_relaxometry,
 )
-from nvkit.fitting import FitError
+from nvkit.fitting import FitError, sigma_weights
 from nvkit.noise import NoiseSpec, apply_noise
 from nvkit.spin_model import (
     FieldEnvironment,
@@ -693,6 +693,101 @@ def test_extract_resamples_nonuniform_grid():
                        np.ones(times.size))
     comps = extract_frequencies(curve, 2)
     assert comps[0][0] == pytest.approx(1.5, abs=0.05)
+
+
+# The expected components below were computed with the per-peak, per-block and
+# per-component loops that extract_frequencies replaced with numpy reductions.
+
+def test_extract_keeps_the_lower_of_two_equal_dft_peaks_first():
+    # 0, 2, 4 .. hold integers and odd samples are 0, so the Hann-windowed DFT
+    # has the 0.5 MHz tone (bin 4) and its 3.5 MHz alias (bin 28) at magnitudes
+    # equal bit for bit; with one component the lower one seeds the fit
+    signal = np.zeros(64)
+    signal[0::2] = np.round(4 * np.cos(2 * np.pi * 4 * np.arange(32) / 32))
+    curve = DecayCurve(0.125 * np.arange(64), signal, np.ones(64))
+    y = signal - signal.mean()
+    mags = np.abs(np.fft.rfft(y * np.hanning(64)))
+    assert mags[4] == mags[28] == mags.max()
+    (freq, amp), = extract_frequencies(curve, 1)
+    assert (freq, amp) == pytest.approx((0.4993168591863591, 2.2428582015545024), rel=1e-9)
+
+
+@pytest.mark.parametrize("tau, seed, expected", [
+    (None, 10.0, (1.4999999999956306, 0.4000001999805429)),  # no block below 1/e: the span
+    (2.0, 2.0300751879699246, (1.5000000000607145, 0.4000000001315336)),
+], ids=["undamped", "damped"])
+def test_extract_seeds_the_envelope_at_the_first_block_below_1_over_e(
+        monkeypatch, tau, seed, expected):
+    seeds = []
+    solve = dynamics.levenberg_marquardt
+
+    def spy(residuals, x0, **kwargs):
+        seeds.append(x0[0])
+        return solve(residuals, x0, **kwargs)
+    monkeypatch.setattr(dynamics, "levenberg_marquardt", spy)
+    times = np.linspace(0.0, 10.0, 400)
+    envelope = 1.0 if tau is None else np.exp(-times / tau)
+    curve = DecayCurve(times, 0.5 + 0.4 * envelope * np.cos(2 * np.pi * 1.5 * times),
+                       np.ones(times.size))
+    (freq, amp), = extract_frequencies(curve, 2)
+    assert seeds == [seed]
+    assert (freq, amp) == pytest.approx(expected, rel=1e-9)
+
+
+def test_extract_on_a_nonuniform_grid_gives_the_resampled_curves_result():
+    rng = np.random.default_rng(7)
+    times = np.sort(rng.uniform(0.0, 8.0, 300))
+    times[0], times[-1] = 0.0, 8.0
+    signal = 0.5 + np.exp(-times / 3.0) * (0.3 * np.cos(2 * np.pi * 1.2 * times)
+                                           + 0.15 * np.sin(2 * np.pi * 2.9 * times))
+    uniform = np.linspace(0.0, 8.0, 300)
+    comps = extract_frequencies(DecayCurve(times, signal, np.ones(300)), 2)
+    resampled = DecayCurve(uniform, np.interp(uniform, times, signal), np.ones(300))
+    assert comps == extract_frequencies(resampled, 2)
+    assert np.array(comps) == pytest.approx(np.array([
+        (1.199927655848057, 0.30055748096372475),
+        (2.900418952264184, 0.13647120333879142)]), rel=1e-9)
+
+
+def test_beat_residuals_equal_the_per_component_loops_bit_for_bit(monkeypatch):
+    solved = []  # (residuals, fitted params) of each solve: extraction, then the envelope fit
+    solve = dynamics.levenberg_marquardt
+
+    def spy(residuals, x0, **kwargs):
+        fit = solve(residuals, x0, **kwargs)
+        solved.append((residuals, fit.params))
+        return fit
+    monkeypatch.setattr(dynamics, "levenberg_marquardt", spy)
+    times = np.linspace(0.0, 10.0, 400)
+    signal = 0.5 + np.exp(-(times / 4.0) ** 1.5) * (0.3 * np.cos(2 * np.pi * 1.0 * times)
+                                                    + 0.2 * np.sin(2 * np.pi * 2.5 * times))
+    curve = DecayCurve(times, signal, np.full(times.size, 0.01))
+    fit = fit_decay_envelope(curve, DecayModel.STRETCHED_TIMES_OSC, 3)
+    (extract, q), (envelope_fit, p) = solved
+
+    out = np.full_like(times, q[1])
+    env = np.exp(-np.clip((times - times[0]) / q[0], 0.0, 50.0))
+    for fj, cj, sj in q[2:].reshape(-1, 3):
+        out = out + env * (cj * np.cos(2 * np.pi * fj * times)
+                           + sj * np.sin(2 * np.pi * fj * times))
+    assert np.array_equal(extract(q), out - signal)
+
+    osc = np.zeros_like(times)
+    for fk, (ck, sk) in zip(fit.frequencies, p[3:].reshape(-1, 2)):
+        osc = osc + ck * np.cos(2 * np.pi * fk * times) + sk * np.sin(2 * np.pi * fk * times)
+    env = np.exp(-np.power(np.clip(times / p[1], 0.0, 50.0), p[2]))
+    assert np.array_equal(envelope_fit(p), (p[0] + env * osc - signal) * sigma_weights(curve.sigma))
+
+
+def test_fid_beats_equal_the_per_component_loop_bit_for_bit():
+    system = SpinSystem(nuclei=(HyperfineCoupling.nitrogen14(), HyperfineCoupling.carbon13()))
+    env = FieldEnvironment(b_lab=np.array([0.5, 0.2, 3.0]))
+    times = np.linspace(0.0, 6.0, 301)
+    beat = np.zeros_like(times)
+    for delta, weight in dynamics.fid_detunings(system, env, 0.4):
+        beat = beat + weight * np.cos(2.0 * np.pi * delta * times)
+    clean = 0.5 + 0.5 * np.exp(-np.power(times / COH.t2_star, 1.0)) * beat
+    assert np.array_equal(simulate_fid(system, env, COH, 0.4, times).signal, clean)
 
 
 # ---------------------------------------------------------------------------

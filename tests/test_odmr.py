@@ -259,6 +259,15 @@ def test_fit_single_dip_init_at_truth():
     assert fit.report.residual_norm < 1e-9
 
 
+def test_fit_rejects_an_init_of_another_dip_count_naming_init_and_both_counts():
+    model = LineShapeModel([2860.0, 2880.0], [0.1, 0.1], [5.0, 5.0])
+    spec = OdmrSpectrum(GRID, model.evaluate(GRID), np.ones_like(GRID))
+    with pytest.raises(OdmrError, match="^init holds 2 dips, but n_dips is 3$"):
+        fit_spectrum(spec, 3, init=model)
+    with pytest.raises(OdmrError, match="^init holds 2 dips, but n_dips is 1$"):
+        fit_spectrum(spec, 1, init=model)
+
+
 def test_fit_two_dip_roundtrip_with_noise():
     env = FieldEnvironment(shift_xi=2.5, splitting_delta=4.1)
     for seed in range(6):
