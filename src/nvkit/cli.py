@@ -39,7 +39,7 @@ import numpy as np
 # the handlers once the tracer imports what it wraps (see ROADMAP.md).
 from . import confocal
 from .constants import D_ZFS_MHZ
-from .tables import require
+from .tables import MIN_POINTS, require
 
 DEFAULT_PSF = (0.45, 0.45, 2.0)
 # the values of dynamics.DecayModel, listed here so that building the parser
@@ -151,14 +151,21 @@ def _write_outputs(args, record, save, data, columns):
     return record
 
 
+def _points(args) -> int:
+    """``--points``; a negative count, or one below ``MIN_POINTS``, raises naming the flag."""
+    require(ValueError, "--points", args.points, "finite and nonnegative")
+    if args.points < MIN_POINTS:
+        raise ValueError(f"--points must be at least {MIN_POINTS}, got {args.points}")
+    return args.points
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations (each returns an ordered record dict)
 
 def cmd_odmr_sim(args):
     from . import odmr, spin_model
     system, env = _spin_inputs(args)
-    require(ValueError, "--points", args.points, "finite and nonnegative")
-    grid = np.linspace(args.fmin, args.fmax, args.points)
+    grid = np.linspace(args.fmin, args.fmax, _points(args))
     noise = _noise_spec(args)
     unmerged = odmr.orientation_lines(system, env, args.ensemble)
     spectrum = odmr.synthesize_spectrum(
@@ -202,8 +209,7 @@ def cmd_seq_sim(args):
     from . import dynamics, spin_model
     system, env = _spin_inputs(args)
     coh = _coherence(args)
-    require(ValueError, "--points", args.points, "finite and nonnegative")
-    times = np.linspace(args.tmin, args.tmax, args.points)
+    times = np.linspace(args.tmin, args.tmax, _points(args))
     spec = _noise_spec(args)
     if args.kind == "rabi":
         if args.drive_freq is None:

@@ -33,7 +33,7 @@ from .spin_model import (
     transition_lines,
     _operators,
 )
-from .tables import columns, read_table, require, write_table
+from .tables import MIN_POINTS, columns, read_table, require, write_table
 
 READOUT_CONTRAST_SINGLE = 0.2
 
@@ -149,8 +149,8 @@ class DecayCurve:
 
     def __post_init__(self):
         times, signal, sigma = columns(self, DynamicsError, "times", "signal", "sigma")
-        if len(times) < 8:
-            raise DynamicsError("decay curve needs at least 8 points")
+        if len(times) < MIN_POINTS:
+            raise DynamicsError(f"decay curve needs at least {MIN_POINTS} points")
         require(DynamicsError, "times", times)
         if not (np.diff(times) > 0).all():
             raise DynamicsError("times must be strictly increasing")
@@ -215,7 +215,8 @@ class _RotatingFrame:
     def __init__(self, system: SpinSystem, env: FieldEnvironment, drive_freq: float):
         ops = _operators(system)
         evals, evecs = eigenlevels(build_hamiltonian(system, env))
-        sz2, sx, sy, self.p0 = evecs.conj().T @ np.array((ops.sz2, ops.sx, ops.sy, ops.p0)) @ evecs
+        stack = np.array((ops.terms[0], ops.sx, ops.sy, ops.p0))  # terms[0] is Sz^2
+        sz2, sx, sy, self.p0 = evecs.conj().T @ stack @ evecs
         sectors = np.clip(np.round(np.diag(sz2).real), 0.0, 1.0)
         self.frame_energies = evals - drive_freq * sectors
         cross = np.abs(sectors[:, None] - sectors[None, :]) > 0.5
@@ -416,10 +417,7 @@ def simulate_hahn(
     times = np.asarray(times, dtype=float)
     require(DynamicsError, "times", times, "finite and nonnegative")
     envelope = np.exp(-np.power(times / coh.t2, stretch))
-    if larmor_freq > 0:
-        modulation = 1.0 - mod_depth * np.sin(np.pi * larmor_freq * times) ** 4
-    else:
-        modulation = np.ones_like(times)
+    modulation = 1.0 - mod_depth * np.sin(np.pi * larmor_freq * times) ** 4
     clean = baseline + amplitude * envelope * modulation
     signal, sigma = apply_noise(clean, noise)
     return DecayCurve(times=times, signal=signal, sigma=sigma, kind="hahn")

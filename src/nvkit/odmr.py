@@ -16,18 +16,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import D_ZFS_MHZ
-from .fitting import FitResult, levenberg_marquardt, sigma_weights
+from .fitting import FitError, FitResult, levenberg_marquardt, pinned, sigma_weights
 from .noise import NoiseSpec, apply_noise
 from .spin_model import (
     NV_ORIENTATIONS,
     FieldEnvironment,
     SpinSystem,
-    _NvFrameField,
     merge_lines,
     project_field,
     unmerged_lines,
 )
-from .tables import columns, read_table, require, write_table
+from .tables import MIN_POINTS, columns, read_table, require, write_table
 
 CW_FWHM_MHZ = 8.0
 PULSED_FWHM_MHZ = 0.7
@@ -48,8 +47,8 @@ class OdmrSpectrum:
 
     def __post_init__(self):
         freqs, signal, sigma = columns(self, OdmrError, "freqs", "signal", "sigma")
-        if len(freqs) < 8:
-            raise OdmrError("spectrum needs at least 8 points")
+        if len(freqs) < MIN_POINTS:
+            raise OdmrError(f"spectrum needs at least {MIN_POINTS} points")
         require(OdmrError, "frequency grid", freqs)
         if not (np.diff(freqs) > 0).all():
             raise OdmrError("frequency grid must be strictly increasing")
@@ -118,17 +117,16 @@ def orientation_lines(system: SpinSystem, env: FieldEnvironment, ensemble: bool 
     ``system`` alone; see :func:`spin_model.unmerged_lines`. The Hamiltonian
     sees an orientation only through its field projection, so orientations
     with the same projection (compared bit for bit) share one eigensolve and
-    the same arrays: at zero field all four do. The field is projected once
-    per orientation, and each group's Hamiltonian is built from its projection.
+    the same arrays: at zero field all four do. Each group is solved as
+    ``system`` turned to the group's first orientation.
     """
     if not ensemble:
         return [unmerged_lines(system, env)]
     solved, lines = {}, []
-    for projection in np.array(project_field(env.b_lab, NV_ORIENTATIONS)):
+    for orientation, projection in zip(NV_ORIENTATIONS, np.array(project_field(env.b_lab))):
         key = projection.tobytes()  # exact bits, so 0.0 and -0.0 stay apart
         if key not in solved:
-            nv_frame = _NvFrameField(*projection.tolist(), env.shift_xi, env.splitting_delta)
-            solved[key] = unmerged_lines(system, nv_frame)
+            solved[key] = unmerged_lines(replace(system, orientation=orientation), env)
         lines.append(solved[key])
     return lines
 
@@ -329,7 +327,9 @@ def fit_spectrum(
     point object, which is how the solver calls it. The shift/splitting
     summary is :func:`invert_shift_splitting` of the outermost fitted
     centers and ``d_reference``, which must be finite. ``n_dips`` must be a whole
-    number from 1 to (points - 1) / 3: no more parameters than points.
+    number from 1 to (points - 1) / 3: no more parameters than points. A fit
+    that ends with a dip's contrast on its bound, 0 or 0.999999, raises
+    :class:`~nvkit.fitting.FitError` naming the dip (numbered by center).
     """
     require(OdmrError, "d_reference", d_reference)
     most = (len(spectrum.freqs) - 1) // 3  # 3 parameters per dip and a baseline
@@ -368,6 +368,9 @@ def fit_spectrum(
     order = np.concatenate([[0], (dips[:, None] + np.arange(3)).ravel()])
     report = replace(fit, params=fit.params[order], stderr=fit.stderr[order])
     p = report.params
+    names = [f"dip {k + 1} contrast" for k in range(n_dips)]
+    if on_bound := pinned(p[2::3], bounds[2::3], names):
+        raise FitError(f"ODMR fit ended with a dip on its contrast bound: {on_bound}")
     model = LineShapeModel(p[1::3], p[2::3], p[3::3], baseline=p[0])
     xi, delta = invert_shift_splitting(model.centers[0], model.centers[-1], d_reference)
     return OdmrFitResult(model=model, d_fit=d_reference, xi_fit=xi, delta_fit=delta,

@@ -35,6 +35,7 @@ from .constants import (
 from .tables import frozen, require
 
 MAX_DIMENSION = 18
+_SQRT_HALF = 1.0 / np.sqrt(2.0)  # the entries of the S=1 Sx and Sy
 
 
 class SpinModelError(ValueError):
@@ -62,9 +63,8 @@ def spin_operators(dimension: int) -> SpinOperators:
         sy = 0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex)
         sz = 0.5 * np.array([[1, 0], [0, -1]], dtype=complex)
     elif dimension == 3:
-        s2 = 1.0 / np.sqrt(2.0)
-        sx = s2 * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
-        sy = s2 * np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex)
+        sx = _SQRT_HALF * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
+        sy = _SQRT_HALF * np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex)
         sz = np.diag([1.0, 0.0, -1.0]).astype(complex)
     else:
         raise SpinModelError(f"unsupported spin dimension {dimension}; expected 2 or 3")
@@ -208,22 +208,6 @@ class HamiltonianMatrix:
         object.__setattr__(self, "entries", h)
 
 
-@dataclass(frozen=True)
-class _NvFrameField:
-    """A field environment already projected on one NV axis.
-
-    ``axial`` and ``transverse`` are a pair of :func:`project_field`;
-    :func:`build_hamiltonian` takes this record in place of a
-    :class:`FieldEnvironment` and then ignores the system's orientation, so
-    a caller that has projected the field does not project it again.
-    """
-
-    axial: float
-    transverse: float
-    shift_xi: float
-    splitting_delta: float
-
-
 def project_field(b_lab, orientations=None):
     """Axial/transverse field components for each NV orientation.
 
@@ -253,29 +237,25 @@ def _embed(op: np.ndarray, slot: int, dims: tuple[int, ...]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Operators:
-    """Full-space operators of one Hilbert space, shared and read-only."""
+    """Shared read-only full-space operators of one Hilbert space, with the Hamiltonian's terms."""
 
     sx: np.ndarray
     sy: np.ndarray
-    sz: np.ndarray
-    sz2: np.ndarray
-    sx2_minus_sy2: np.ndarray
     p0: np.ndarray            # electron ms=0 projector
-    hyperfine: tuple          # (Sz Iz, Sx Ix + Sy Iy) per nucleus
+    terms: np.ndarray         # Sz^2, Sx^2 - Sy^2, Sz, Sx*sqrt2; Sz Iz, Sx Ix + Sy Iy per nucleus
 
 
 @lru_cache(maxsize=None)  # SpinSystem admits at most six dims tuples
 def _build_operators(dims: tuple[int, ...]) -> _Operators:
     el = spin_operators(3)
     sx, sy, sz = (_embed(op, 0, dims) for op in (el.sx, el.sy, el.sz))
-    hyperfine = []
+    terms = [sz @ sz, sx @ sx - sy @ sy, sz, sx / _SQRT_HALF]  # the last has entries 0 and 1
     for k, d in enumerate(dims[1:], start=1):
         nuc = spin_operators(d)
         ix, iy, iz = (_embed(op, k, dims) for op in (nuc.sx, nuc.sy, nuc.sz))
-        hyperfine.append(tuple(frozen(a, complex) for a in (sz @ iz, sx @ ix + sy @ iy)))
+        terms += [sz @ iz, sx @ ix + sy @ iy]
     p0 = _embed(np.diag([0.0, 1.0, 0.0]).astype(complex), 0, dims)  # basis (+1, 0, -1)
-    arrays = [frozen(a, complex) for a in (sx, sy, sz, sz @ sz, sx @ sx - sy @ sy, p0)]
-    return _Operators(*arrays, tuple(hyperfine))
+    return _Operators(*(frozen(a, complex) for a in (sx, sy, p0, terms)))
 
 
 def _operators(system: SpinSystem) -> _Operators:
@@ -287,19 +267,17 @@ def build_hamiltonian(system: SpinSystem, env: FieldEnvironment) -> HamiltonianM
 
     The lab field is projected onto the NV axis; the transverse component
     is placed along the NV-frame x axis (azimuthal phase is unobservable
-    for the terms modeled here). The returned matrix is a fresh array.
+    for the terms modeled here). The terms are added one after another in
+    the order of ``_Operators.terms``. The Zeeman terms are stacked as Sz
+    and Sx*sqrt2, whose entries are 0 and +-1, so the sum keeps the bits of
+    gamma_e * (B_axial Sz + B_transverse Sx). The returned matrix is a fresh array.
     """
-    ops = _operators(system)
-    if isinstance(env, _NvFrameField):
-        axial, transverse = env.axial, env.transverse
-    else:  # b_lab and the axis were checked by their records
-        axial, transverse = _projection(env.b_lab, system.orientation.axis)
-    h = (system.d_zfs + env.shift_xi) * ops.sz2
-    h = h + 2.0 * env.splitting_delta * ops.sx2_minus_sy2
-    h = h + system.gamma_e * (axial * ops.sz + transverse * ops.sx)
-    for nuc, (sz_iz, flip_flop) in zip(system.nuclei, ops.hyperfine):
-        h = h + nuc.a_parallel * sz_iz
-        h = h + nuc.a_perp * flip_flop
+    # b_lab and the axis were checked by their records
+    axial, transverse = _projection(env.b_lab, system.orientation.axis)
+    c = np.array([system.d_zfs + env.shift_xi, 2.0 * env.splitting_delta,
+                  system.gamma_e * axial, system.gamma_e * (transverse * _SQRT_HALF),
+                  *(a for nuc in system.nuclei for a in (nuc.a_parallel, nuc.a_perp))])
+    h = np.add.reduce(c[:, None, None] * _operators(system).terms, axis=0)
     return HamiltonianMatrix(entries=h, dimension=system.dimension)
 
 

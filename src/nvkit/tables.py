@@ -21,6 +21,7 @@ import numpy as np
 
 _SIGN_TESTS = {"finite": None, "finite and positive": lambda x: x > 0,
                "finite and nonnegative": lambda x: x >= 0}
+MIN_POINTS = 8  # the fewest samples an ODMR spectrum or a decay curve may hold
 
 
 def require(error, name, value, rule="finite"):

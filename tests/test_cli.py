@@ -450,6 +450,28 @@ def test_negative_points_exits_1_naming_the_flag(argv):
     assert "--points must be finite and nonnegative" in err and out == ""
 
 
+@pytest.mark.parametrize("argv", [["odmr-sim", "--points", "5"],
+                                  ["seq-sim", "--kind", "fid", "--points", "3"],
+                                  ["seq-sim", "--kind", "rabi", "--points", "0"]])
+def test_too_few_points_exits_1_naming_the_flag(argv):
+    code, out, err = run_main(argv)
+    assert code == 1
+    assert f"--points must be at least 8, got {argv[-1]}" in err and out == ""
+
+
+def test_odmr_fit_with_a_dip_on_its_contrast_bound_exits_1(tmp_path):
+    # one line at 2870 MHz: a second dip has nothing to fit and ends at contrast 0
+    spec = str(tmp_path / "spec.txt")
+    code, _, _ = run_main(["odmr-sim", "--ensemble", "--noise-sigma", "0.002", "--seed", "3",
+                           "--out", spec])
+    assert code == 0
+    code, out, err = run_main(["odmr-fit", "--in", spec])
+    assert code == 1
+    assert "dip on its contrast bound: dip 1 contrast=0" in err and out == ""
+    code, out, _ = run_main(["odmr-fit", "--in", spec, "--n-dips", "1"])
+    assert code == 0 and "converged = true" in out
+
+
 # nvkit modules each subcommand loads beyond BASE_MODULES, which nvkit.cli
 # imports itself
 BASE_MODULES = {"nvkit", "nvkit.cli", "nvkit.confocal", "nvkit.constants", "nvkit.fitting",

@@ -148,18 +148,19 @@ def test_orientations_with_one_field_projection_share_one_eigensolve(monkeypatch
 
 @pytest.mark.parametrize("b_lab", [np.zeros(3), np.array([1.0, 2.0, 3.0])],
                          ids=["zero", "generic"])
-def test_four_orientation_synthesis_projects_the_field_once_per_orientation(monkeypatch, b_lab):
+def test_four_orientation_synthesis_builds_one_hamiltonian_per_distinct_projection(
+        monkeypatch, b_lab):
     calls = []
-    projection = spin_model._projection
+    build = spin_model.build_hamiltonian
 
-    def counted(b, axis):
-        calls.append(axis)
-        return projection(b, axis)
-    monkeypatch.setattr(spin_model, "_projection", counted)
+    def counted(system, env):
+        calls.append(system)
+        return build(system, env)
+    monkeypatch.setattr(spin_model, "build_hamiltonian", counted)
     system = SpinSystem(nuclei=(HyperfineCoupling.nitrogen14(),))
     env = FieldEnvironment(b_lab=b_lab, shift_xi=1.0, splitting_delta=0.5)
     synthesize_spectrum(system, env, "pulsed", GRID, ensemble=True)
-    assert len(calls) == 4
+    assert len(calls) == (4 if b_lab.any() else 1)
 
 
 def _count_calls(monkeypatch, *names):

@@ -309,9 +309,8 @@ def test_build_hamiltonian_equals_kron_reference_exactly(codes):
 def test_cached_operators_are_read_only(codes):
     system = SpinSystem(nuclei=nuclei_of(codes))
     ops = spin_model._operators(system)
-    arrays = [ops.sx, ops.sy, ops.sz, ops.sz2, ops.sx2_minus_sy2, ops.p0,
-              *(op for pair in ops.hyperfine for op in pair)]
-    assert len(ops.hyperfine) == len(codes)
+    arrays = [ops.sx, ops.sy, ops.p0, ops.terms, *ops.terms]
+    assert len(ops.terms) == 4 + 2 * len(codes)
     for a in arrays:
         with pytest.raises(ValueError):
             a[0, 0] = 1.0
