@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .constants import CARBON_DENSITY_PER_CM3
-from .fitting import FitError, FitResult, levenberg_marquardt
+from .fitting import FitError, FitResult, levenberg_marquardt, pinned
 from .tables import frozen, parse_header, parse_rows, require, write_table
 
 GAUSS_INTEGRAL_PER_FWHM = float(np.sqrt(np.pi / (4.0 * np.log(2.0))))
@@ -177,6 +177,8 @@ def fit_gaussian_slice(plmap: PLMap, axis: int, index,
     bounds = [(0.0, np.inf), (coords[0] - span, coords[-1] + span),
               (1e-6 * span, 10.0 * span), (-np.inf, np.inf)]
     fit = levenberg_marquardt(residuals, x0, bounds=bounds)
+    if on_bound := pinned(fit.params, bounds, ("amplitude", "center", "fwhm")):
+        raise FitError(f"Gaussian slice fit ended on a bound: {on_bound}")
     return GaussianSliceFit(*fit.params.tolist(), report=fit)
 
 

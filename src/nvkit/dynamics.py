@@ -25,14 +25,7 @@ import numpy as np
 
 from .fitting import FitError, FitResult, levenberg_marquardt, median, pinned, sigma_weights
 from .noise import NoiseSpec, apply_noise
-from .spin_model import (
-    FieldEnvironment,
-    SpinSystem,
-    build_hamiltonian,
-    eigenlevels,
-    transition_lines,
-    _operators,
-)
+from .spin_model import FieldEnvironment, SpinSystem, eigenbasis, eigenlevels, transition_lines
 from .tables import MIN_POINTS, columns, read_table, require, write_table
 
 READOUT_CONTRAST_SINGLE = 0.2
@@ -107,6 +100,10 @@ class PulseSequence:
 
     def __post_init__(self):
         elements = tuple(self.elements)
+        for k, e in enumerate(elements):
+            if not isinstance(e, _Element):
+                raise DynamicsError(f"sequence element {k} must be LaserInit, MwPulse, Wait "
+                                    f"or Readout, got {type(e).__name__}")
         if not elements or not isinstance(elements[0], LaserInit):
             raise DynamicsError("sequence must start with LaserInit")
         readouts = [e for e in elements if isinstance(e, Readout)]
@@ -201,7 +198,7 @@ class SequenceResult:
 
 class _RotatingFrame:
     """Rotating-wave frame built on the exact eigenstates of the static
-    Hamiltonian.
+    Hamiltonian, with the operators of :func:`~nvkit.spin_model.eigenbasis`.
 
     Eigenstates are classified by their dominant ms sector (the Sz^2
     expectation value, 0 for ms=0-like and 1 for ms=+-1-like states). In the
@@ -213,10 +210,7 @@ class _RotatingFrame:
     """
 
     def __init__(self, system: SpinSystem, env: FieldEnvironment, drive_freq: float):
-        ops = _operators(system)
-        evals, evecs = eigenlevels(build_hamiltonian(system, env))
-        stack = np.array((ops.terms[0], ops.sx, ops.sy, ops.p0))  # terms[0] is Sz^2
-        sz2, sx, sy, self.p0 = evecs.conj().T @ stack @ evecs
+        evals, (sz2, sx, sy, self.p0) = eigenbasis(system, env)
         sectors = np.clip(np.round(np.diag(sz2).real), 0.0, 1.0)
         self.frame_energies = evals - drive_freq * sectors
         cross = np.abs(sectors[:, None] - sectors[None, :]) > 0.5

@@ -172,6 +172,10 @@ class SpinSystem:
         require(SpinModelError, "d_zfs", self.d_zfs, "finite and positive")
         require(SpinModelError, "gamma_e", self.gamma_e)
         object.__setattr__(self, "nuclei", tuple(self.nuclei))
+        for k, nuc in enumerate(self.nuclei):
+            if not isinstance(nuc, HyperfineCoupling):
+                raise SpinModelError(f"nuclei[{k}] must be a HyperfineCoupling, "
+                                     f"got {type(nuc).__name__}")
         if self.dimension > MAX_DIMENSION:
             raise SpinModelError(
                 f"Hilbert dimension {self.dimension} exceeds supported maximum {MAX_DIMENSION}"
@@ -208,16 +212,14 @@ class HamiltonianMatrix:
         object.__setattr__(self, "entries", h)
 
 
-def project_field(b_lab, orientations=None):
+def project_field(b_lab):
     """Axial/transverse field components for each NV orientation.
 
     Returns a list of (axial, transverse) pairs in mT, in the fixed
     orientation order of :func:`nv_orientations`.
     """
     b = _vector3("b_lab", b_lab, "3-vector in mT")
-    if orientations is None:
-        orientations = NV_ORIENTATIONS
-    return [_projection(b, orient.axis) for orient in orientations]
+    return [_projection(b, orient.axis) for orient in NV_ORIENTATIONS]
 
 
 def _projection(b, axis):
@@ -237,11 +239,9 @@ def _embed(op: np.ndarray, slot: int, dims: tuple[int, ...]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Operators:
-    """Shared read-only full-space operators of one Hilbert space, with the Hamiltonian's terms."""
+    """Shared read-only full-space operator stacks of one Hilbert space."""
 
-    sx: np.ndarray
-    sy: np.ndarray
-    p0: np.ndarray            # electron ms=0 projector
+    observables: np.ndarray   # Sz^2, Sx, Sy, electron ms=0 projector P0; eigenbasis rotates them
     terms: np.ndarray         # Sz^2, Sx^2 - Sy^2, Sz, Sx*sqrt2; Sz Iz, Sx Ix + Sy Iy per nucleus
 
 
@@ -255,7 +255,7 @@ def _build_operators(dims: tuple[int, ...]) -> _Operators:
         ix, iy, iz = (_embed(op, k, dims) for op in (nuc.sx, nuc.sy, nuc.sz))
         terms += [sz @ iz, sx @ ix + sy @ iy]
     p0 = _embed(np.diag([0.0, 1.0, 0.0]).astype(complex), 0, dims)  # basis (+1, 0, -1)
-    return _Operators(*(frozen(a, complex) for a in (sx, sy, p0, terms)))
+    return _Operators(*(frozen(a, complex) for a in ((terms[0], sx, sy, p0), terms)))
 
 
 def _operators(system: SpinSystem) -> _Operators:
@@ -302,13 +302,15 @@ def eigenlevels(h: HamiltonianMatrix | np.ndarray):
     return np.linalg.eigh(h.entries)
 
 
-def ms0_projector(system: SpinSystem) -> np.ndarray:
-    """Projector onto the electron ms=0 subspace of the full Hilbert space.
+def eigenbasis(system: SpinSystem, env: FieldEnvironment):
+    """The static Hamiltonian's ascending eigenvalues, and the ``(4, d, d)`` stack
+    Sz^2, Sx, Sy, P0 (the electron ms=0 projector) rotated into its eigenbasis.
 
-    This is the shared read-only array of the system's Hilbert space; copy
-    it before writing to it.
+    One :func:`build_hamiltonian` and one :func:`eigenlevels`, both looked up
+    at call time; the rotated stack is a fresh array.
     """
-    return _operators(system).p0
+    evals, evecs = eigenlevels(build_hamiltonian(system, env))
+    return evals, evecs.conj().T @ _operators(system).observables @ evecs
 
 
 @lru_cache(maxsize=None)  # one entry per Hilbert dimension
@@ -320,13 +322,12 @@ def _pair_indices(dimension: int) -> tuple[np.ndarray, np.ndarray]:
 def unmerged_lines(system: SpinSystem, env: FieldEnvironment):
     """Every drivable transition as unmerged ``(freqs, strengths)`` arrays.
 
-    Strengths are the unnormalized weights of :func:`transition_lines`; pairs
-    of strength 1e-9 or less are dropped. :func:`merge_lines` merges them at
-    any tolerance, so one eigensolve serves several tolerances.
+    Strengths are the unnormalized weights of :func:`transition_lines`, read
+    from the :func:`eigenbasis` observables; pairs of strength 1e-9 or less
+    are dropped. :func:`merge_lines` merges them at any tolerance, so one
+    eigensolve serves several tolerances.
     """
-    ops = _operators(system)
-    evals, evecs = eigenlevels(build_hamiltonian(system, env))
-    sx, sy, p0 = evecs.conj().T @ np.array((ops.sx, ops.sy, ops.p0)) @ evecs
+    evals, (_, sx, sy, p0) = eigenbasis(system, env)
     pops = np.diag(p0).real / max(np.trace(p0).real, 1e-300)
 
     i, j = _pair_indices(len(evals))

@@ -389,6 +389,19 @@ def test_map_slice_index_outside_its_axis_or_fractional_exits_1(data_dir, index)
     assert stdout == ""
 
 
+def test_map_slice_refuses_a_bound_pinned_fit(tmp_path):
+    # an inverted dip, 100 - 50 exp(-4 ln2 x^2 / 0.5^2): no peak to fit
+    x, y = np.linspace(-2.0, 2.0, 41), np.linspace(0.0, 1.0, 5)
+    dip = 100.0 - 50.0 * np.exp(-4.0 * np.log(2.0) * x ** 2 / 0.5 ** 2)
+    nvkit.save_map(tmp_path / "dip.txt", nvkit.PLMap((x, y), np.tile(dip[:, None], (1, 5)), 1.0))
+    code, stdout, stderr = run_main(["map-slice", "--in", str(tmp_path / "dip.txt"),
+                                     "--axis", "x", "--index", "2"])
+    assert code == 1
+    assert "error: Gaussian slice fit ended on a bound: amplitude=0, center=6, fwhm=4e-06" \
+        in stderr
+    assert stdout == ""
+
+
 @pytest.mark.parametrize("nuclei", ["n14:abc", "c13:", "n14:1:2:3"])
 def test_malformed_nuclei_is_a_usage_error(nuclei):
     code, stdout, stderr = run_main(["odmr-sim", "--points", "11", "--nuclei", nuclei])

@@ -21,6 +21,7 @@ from nvkit.confocal import (
     ppb_to_number_density,
     save_map,
 )
+from nvkit.fitting import FitError
 
 PSF = PsfModel(0.45, 0.45, 2.0)
 
@@ -189,6 +190,19 @@ def test_slice_index_must_be_a_whole_number_inside_its_axis(index):
     # from the end, and 30.7 is not truncated to 30
     with pytest.raises(ConfocalError, match="index"):
         fit_gaussian_slice(gaussian_map(), 0, (index,))
+
+
+def inverted_dip_map():
+    """A 41 x 5 map whose x slices dip: 100 - 50 exp(-4 ln2 x^2 / 0.5^2)."""
+    x, y = np.linspace(-2.0, 2.0, 41), np.linspace(0.0, 1.0, 5)
+    dip = 100.0 - 50.0 * np.exp(-4.0 * np.log(2.0) * x ** 2 / 0.5 ** 2)
+    return PLMap(axes=(x, y), counts=np.tile(dip[:, None], (1, 5)), power=1.0)
+
+
+def test_slice_fit_refuses_a_bound_pinned_fit():
+    # a dip has no peak of nonnegative amplitude: the fit ends on three bounds
+    with pytest.raises(FitError, match="ended on a bound: amplitude=0, center=6, fwhm=4e-06"):
+        fit_gaussian_slice(inverted_dip_map(), 0, (2,))
 
 
 def test_slice_fit_flat_slice_rejected():

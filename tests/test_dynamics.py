@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nvkit import dynamics
+from nvkit import dynamics, spin_model
 from nvkit.constants import GAMMA_C13_MHZ_PER_MT
 from nvkit.dynamics import (
     CoherenceParams,
@@ -55,6 +55,16 @@ def isolated_two_level():
 def test_sequence_must_start_with_laser_init():
     with pytest.raises(DynamicsError):
         PulseSequence((Wait(1.0), Readout(0.5)))
+
+
+@pytest.mark.parametrize("elements, message", [
+    ((LaserInit(1.0), 3.0, Readout(0.5)), "sequence element 1 must be LaserInit, MwPulse, "
+                                          "Wait or Readout, got float"),
+    ((LaserInit(1.0), Wait(1.0), "x", Readout(0.5)), "sequence element 2 .* got str"),
+])
+def test_sequence_rejects_elements_that_are_not_sequence_elements(elements, message):
+    with pytest.raises(DynamicsError, match=message):
+        PulseSequence(elements)
 
 
 def test_sequence_needs_exactly_one_final_readout():
@@ -214,8 +224,9 @@ def test_simulate_rabi_rejects_nonfinite_input_before_eigensolve(monkeypatch, na
     def no_eigensolve(h):
         raise AssertionError("eigensolve ran before the input check")
 
-    monkeypatch.setattr(dynamics, "eigenlevels", no_eigensolve)
     system, env, f_low = isolated_two_level()
+    for module in (spin_model, dynamics):  # the frame's eigensolve runs in spin_model
+        monkeypatch.setattr(module, "eigenlevels", no_eigensolve)
     kwargs = dict(drive_freq=f_low, rabi_freq=2.0, readout_contrast=0.2)
     kwargs[name] = value
     with pytest.raises(DynamicsError, match=f"{name} must be finite"):
@@ -227,8 +238,9 @@ def test_propagate_sequence_rejects_nonfinite_contrast_before_eigensolve(monkeyp
     def no_eigensolve(h):
         raise AssertionError("eigensolve ran before the input check")
 
-    monkeypatch.setattr(dynamics, "eigenlevels", no_eigensolve)
     system, env, f_low = isolated_two_level()
+    for module in (spin_model, dynamics):  # the frame's eigensolve runs in spin_model
+        monkeypatch.setattr(module, "eigenlevels", no_eigensolve)
     seq = PulseSequence((LaserInit(1.0), MwPulse(f_low, 2.0, 0.0, 0.25), Readout(0.5)))
     with pytest.raises(DynamicsError, match="readout_contrast must be finite"):
         propagate_sequence(system, env, seq, readout_contrast=value)
@@ -297,13 +309,15 @@ def count_eigensolves(monkeypatch):
         calls.append(h)
         return eigenlevels(h)
 
-    monkeypatch.setattr(dynamics, "eigenlevels", counting_eigenlevels)
+    # the frame's eigensolve runs in spin_model.eigenbasis, the pulses' in dynamics
+    for module in (spin_model, dynamics):
+        monkeypatch.setattr(module, "eigenlevels", counting_eigenlevels)
     return calls
 
 
 def test_decoherent_sequence_diagonalizes_each_distinct_hamiltonian_once(monkeypatch):
-    calls = count_eigensolves(monkeypatch)
     system, env, f_low = isolated_two_level()
+    calls = count_eigensolves(monkeypatch)
     propagate_sequence(system, env, ramsey(f_low, 1.0), COH)
     assert len(calls) == 2  # the rotating frame, then the one pulse Hamiltonian
 
@@ -350,9 +364,8 @@ def reference_frame(system, env, drive):
     adds the cross-sector part of (rabi_freq / sqrt 2)(cos(phase) Sx +
     sin(phase) Sy), and rabi_freq 0 gives free evolution.
     """
-    ops = _operators(system)
     evals, evecs = np.linalg.eigh(build_hamiltonian(system, env).entries)
-    sz2, sx, sy, p0 = (evecs.conj().T @ op @ evecs for op in (ops.terms[0], ops.sx, ops.sy, ops.p0))
+    sz2, sx, sy, p0 = (evecs.conj().T @ op @ evecs for op in _operators(system).observables)
     sectors = np.clip(np.round(np.diag(sz2).real), 0.0, 1.0)
     cross = np.abs(sectors[:, None] - sectors[None, :]) > 0.5
 

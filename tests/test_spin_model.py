@@ -18,7 +18,6 @@ from nvkit.spin_model import (
     SpinSystem,
     build_hamiltonian,
     eigenlevels,
-    ms0_projector,
     nv_orientations,
     project_field,
     resonance_frequencies_approx,
@@ -207,11 +206,9 @@ def test_n14_hyperfine_three_lines():
 
 def _reference_transition_lines(system, env, merge_tol):
     """transition_lines as one function, with both filters applied together."""
-    ops = spin_model._operators(system)
+    observables = spin_model._operators(system).observables  # Sz^2, Sx, Sy, P0
     evals, evecs = eigenlevels(build_hamiltonian(system, env))
-    sx = evecs.conj().T @ ops.sx @ evecs
-    sy = evecs.conj().T @ ops.sy @ evecs
-    p0 = evecs.conj().T @ ops.p0 @ evecs
+    sx, sy, p0 = (evecs.conj().T @ op @ evecs for op in observables[1:])
     pops = np.diag(p0).real / max(np.trace(p0).real, 1e-300)
     i, j = np.triu_indices(len(evals), k=1)
     freqs = evals[j] - evals[i]
@@ -246,12 +243,40 @@ def test_one_unmerged_solve_serves_every_merge_tolerance(nuclei):
             assert transition_lines(system, env, tol) == expected
 
 
+def test_eigenbasis_is_one_build_and_one_eigensolve(monkeypatch):
+    # eigenbasis looks both up as module globals, so a wrapper there sees each call
+    calls = []
+    for name in ("build_hamiltonian", "eigenlevels"):
+        def counted(*args, _name=name, _original=getattr(spin_model, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(spin_model, name, counted)
+    system = SpinSystem(nuclei=(HyperfineCoupling.nitrogen14(),))
+    env = FieldEnvironment(b_lab=np.array([1.0, 2.0, 0.5]), splitting_delta=2.0)
+    evals, observables = spin_model.eigenbasis(system, env)
+    spin_model.unmerged_lines(system, env)
+    assert calls == ["build_hamiltonian", "eigenlevels"] * 2
+    reference, evecs = eigenlevels(build_hamiltonian(system, env))
+    np.testing.assert_array_equal(evals, reference)
+    assert observables.shape == (4, 9, 9)
+    for op, rotated in zip(spin_model._operators(system).observables, observables):
+        assert np.allclose(evecs.conj().T @ op @ evecs, rotated, rtol=0.0, atol=1e-12)
+
+
 def test_spectrum_is_real():
     system = SpinSystem(nuclei=(HyperfineCoupling.nitrogen14(),))
     env = FieldEnvironment(b_lab=np.array([1.0, 2.0, 0.5]), shift_xi=1.0,
                            splitting_delta=2.0)
     evals, _ = eigenlevels(build_hamiltonian(system, env))
     assert np.all(np.isfinite(evals))  # Hermitian eigenvalues are real
+
+
+@pytest.mark.parametrize("nuclei", [("n14",), (HyperfineCoupling.nitrogen14(), None)])
+def test_nuclei_must_be_hyperfine_couplings(nuclei):
+    bad = len(nuclei) - 1
+    with pytest.raises(SpinModelError, match=rf"nuclei\[{bad}\] must be a HyperfineCoupling, "
+                                             rf"got {type(nuclei[bad]).__name__}"):
+        SpinSystem(nuclei=nuclei)
 
 
 def test_dimension_overflow_rejected():
@@ -282,7 +307,8 @@ def kron_hamiltonian(system, env):
 
     el = spin_operators(3)
     sx, sy, sz = embed(el.sx, 0), embed(el.sy, 0), embed(el.sz, 0)
-    axial, transverse = project_field(env.b_lab, [system.orientation])[0]
+    axial = float(env.b_lab @ system.orientation.axis)
+    transverse = float(np.linalg.norm(env.b_lab - axial * system.orientation.axis))
     h = (system.d_zfs + env.shift_xi) * (sz @ sz)
     h = h + 2.0 * env.splitting_delta * (sx @ sx - sy @ sy)
     h = h + system.gamma_e * (axial * sz + transverse * sx)
@@ -309,14 +335,12 @@ def test_build_hamiltonian_equals_kron_reference_exactly(codes):
 def test_cached_operators_are_read_only(codes):
     system = SpinSystem(nuclei=nuclei_of(codes))
     ops = spin_model._operators(system)
-    arrays = [ops.sx, ops.sy, ops.p0, ops.terms, *ops.terms]
+    arrays = [ops.observables, *ops.observables, ops.terms, *ops.terms]
+    assert len(ops.observables) == 4  # Sz^2, Sx, Sy, P0
     assert len(ops.terms) == 4 + 2 * len(codes)
     for a in arrays:
         with pytest.raises(ValueError):
             a[0, 0] = 1.0
-    assert ms0_projector(system) is ops.p0
-    with pytest.raises(ValueError):
-        ms0_projector(system)[1, 1] = 0.0
     pairs = spin_model._pair_indices(system.dimension)
     assert all(map(np.array_equal, pairs, np.triu_indices(system.dimension, k=1)))
     for shared, own in zip(spin_model.NV_ORIENTATIONS, nv_orientations()):
