@@ -42,6 +42,9 @@ from .constants import D_ZFS_MHZ
 from .tables import MIN_POINTS, require
 
 DEFAULT_PSF = (0.45, 0.45, 2.0)
+# seq-sim --kind rabi drives, by default, the lowest line that carries at least
+# this share of the strongest line's weight
+DRIVE_WEIGHT_FLOOR = 0.01
 # the values of dynamics.DecayModel, listed here so that building the parser
 # imports no science module
 DECAY_MODELS = ("stretched", "single_exp", "stretched_osc")
@@ -214,7 +217,8 @@ def cmd_seq_sim(args):
     if args.kind == "rabi":
         if args.drive_freq is None:
             lines = spin_model.transition_lines(system, env, merge_tol=0.01)
-            drive = lines[0][0] if lines else system.d_zfs
+            floor = DRIVE_WEIGHT_FLOOR * max((w for _, w in lines), default=0.0)
+            drive = next((f for f, w in lines if w >= floor), system.d_zfs)
         else:
             drive = args.drive_freq
         curve = dynamics.simulate_rabi(system, env, coh, drive,
@@ -430,7 +434,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--tmax", type=float, default=10.0, help="last time (us)")
     p.add_argument("--points", type=int, default=201)
     p.add_argument("--drive-freq", type=float, default=None,
-                   help="rabi: drive frequency (MHz); default lowest line")
+                   help="rabi: drive frequency (MHz); default the lowest line with at "
+                        f"least {DRIVE_WEIGHT_FLOOR * 100:g}%% of the strongest line's weight")
     p.add_argument("--rabi-freq", type=float, default=5.7,
                    help="rabi: drive strength (MHz)")
     p.add_argument("--detuning", type=float, default=0.0,

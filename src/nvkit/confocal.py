@@ -228,7 +228,8 @@ def save_map(path, plmap: PLMap) -> None:
 
 
 def load_map(path) -> PLMap:
-    """Parse the plmap v1 format, reporting offending line numbers."""
+    """Parse the plmap v1 format, reporting offending line numbers; the values of
+    each `# axis` line follow the data-row rules and errors of :func:`parse_rows`."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
     dims, power = parse_header(path, lines[0] if lines else "", "plmap",
@@ -241,32 +242,25 @@ def load_map(path) -> PLMap:
         raise MapFormatError(f"{path}:1: dims must be 2 or 3, got {dims}")
 
     axes = []
-    for k in range(dims):
-        lineno = 2 + k
-        if lineno - 1 >= len(lines):
+    for lineno, name in enumerate(_AXIS_NAMES[:dims], start=2):
+        if lineno > len(lines):
             raise MapFormatError(f"{path}:{lineno}: missing axis line")
         parts = lines[lineno - 1].split()
-        expect = ["#", "axis", f"{_AXIS_NAMES[k]}:"]
-        if parts[:3] != expect:
-            raise MapFormatError(
-                f"{path}:{lineno}: expected axis {_AXIS_NAMES[k]} header, got "
-                f"{lines[lineno - 1].strip()!r}")
-        try:
+        if parts[:3] != ["#", "axis", f"{name}:"]:
+            raise MapFormatError(f"{path}:{lineno}: expected axis {name} header, got "
+                                 f"{lines[lineno - 1].strip()!r}")
+        try:  # parse_rows would skip an empty or '#' row without naming its line
             n = int(parts[3])
-            values = np.array([float(v) for v in parts[4:]])
+            if parts[4].startswith("#"):
+                raise ValueError
         except (IndexError, ValueError):
             raise MapFormatError(f"{path}:{lineno}: bad axis values") from None
-        if len(values) != n:
-            raise MapFormatError(
-                f"{path}:{lineno}: axis declares {n} values but has {len(values)}")
-        if not np.all(np.diff(values) > 0):
-            raise MapFormatError(
-                f"{path}:{lineno}: axis {_AXIS_NAMES[k]} is not strictly increasing")
-        axes.append(values)
+        axes.append(parse_rows(path, [" ".join(parts[4:])], lineno, n, MapFormatError)[0])
+        if not np.all(np.diff(axes[-1]) > 0):
+            raise MapFormatError(f"{path}:{lineno}: axis {name} is not strictly increasing")
 
     data = parse_rows(path, lines[dims + 1:], dims + 2, len(axes[-1]), MapFormatError)
     shape = tuple(len(a) for a in axes)
-    if data.size != int(np.prod(shape)):
-        raise MapFormatError(
-            f"{path}: expected {int(np.prod(shape))} count values, got {data.size}")
+    if data.size != (size := int(np.prod(shape))):
+        raise MapFormatError(f"{path}: expected {size} count values, got {data.size}")
     return PLMap(axes=tuple(axes), counts=data.reshape(shape), power=power)

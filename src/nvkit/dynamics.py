@@ -359,6 +359,19 @@ def fid_detunings(system: SpinSystem, env: FieldEnvironment, detuning: float):
     return [(f - drive, wk) for f, wk in zip(freqs, w)]
 
 
+def _closed_form_trace(kind, t_coh, times, baseline, amplitude, stretch, noise,
+                       shape=lambda t: 1.0):
+    """The ``kind`` curve baseline + amplitude*exp(-(t/t_coh)^stretch)*shape(t), with ``noise``;
+    ``shape`` runs only after baseline, amplitude, stretch and times pass their checks."""
+    require(DynamicsError, "baseline", baseline)
+    require(DynamicsError, "amplitude", amplitude)
+    require(DynamicsError, "stretch", stretch, "finite and positive")
+    times = np.asarray(times, dtype=float)
+    require(DynamicsError, "times", times, "finite and nonnegative")
+    clean = baseline + amplitude * np.exp(-np.power(times / t_coh, stretch)) * shape(times)
+    return DecayCurve(times, *apply_noise(clean, noise), kind)
+
+
 def simulate_fid(
     system: SpinSystem,
     env: FieldEnvironment,
@@ -371,19 +384,14 @@ def simulate_fid(
     noise: NoiseSpec | None = None,
 ) -> DecayCurve:
     """Free-induction decay: damped beats at the hyperfine detunings."""
-    for name, value in (("detuning", detuning), ("baseline", baseline),
-                        ("amplitude", amplitude)):
-        require(DynamicsError, name, value)
-    require(DynamicsError, "stretch", stretch, "finite and positive")
-    times = np.asarray(times, dtype=float)
-    require(DynamicsError, "times", times, "finite and nonnegative")
-    deltas, weights = np.array(fid_detunings(system, env, detuning)).T[:, :, None]
-    # summed one component after another, in fid_detunings' order
-    beat = np.add.reduce(weights * np.cos(2.0 * np.pi * deltas * times), axis=0, initial=0.0)
-    envelope = np.exp(-np.power(times / coh.t2_star, stretch))
-    clean = baseline + amplitude * envelope * beat
-    signal, sigma = apply_noise(clean, noise)
-    return DecayCurve(times=times, signal=signal, sigma=sigma, kind="fid")
+    require(DynamicsError, "detuning", detuning)
+
+    def beat(t):  # summed one component after another, in fid_detunings' order
+        deltas, weights = np.array(fid_detunings(system, env, detuning)).T[:, :, None]
+        return np.add.reduce(weights * np.cos(2.0 * np.pi * deltas * t), axis=0, initial=0.0)
+
+    return _closed_form_trace("fid", coh.t2_star, times, baseline, amplitude, stretch,
+                              noise, beat)
 
 
 def simulate_hahn(
@@ -402,19 +410,13 @@ def simulate_hahn(
 
     Revivals recur each Larmor period: the echo is multiplied by
     1 - mod_depth*sin^4(pi*f_L*t), which returns to 1 at t = k/f_L.
+    ``system`` and ``env`` are not read; they keep the signature of simulate_fid.
     """
     require(DynamicsError, "larmor_freq", larmor_freq, "finite and nonnegative")
-    for name, value in (("baseline", baseline), ("amplitude", amplitude),
-                        ("mod_depth", mod_depth)):
-        require(DynamicsError, name, value)
-    require(DynamicsError, "stretch", stretch, "finite and positive")
-    times = np.asarray(times, dtype=float)
-    require(DynamicsError, "times", times, "finite and nonnegative")
-    envelope = np.exp(-np.power(times / coh.t2, stretch))
-    modulation = 1.0 - mod_depth * np.sin(np.pi * larmor_freq * times) ** 4
-    clean = baseline + amplitude * envelope * modulation
-    signal, sigma = apply_noise(clean, noise)
-    return DecayCurve(times=times, signal=signal, sigma=sigma, kind="hahn")
+    require(DynamicsError, "mod_depth", mod_depth)
+    return _closed_form_trace(
+        "hahn", coh.t2, times, baseline, amplitude, stretch, noise,
+        lambda t: 1.0 - mod_depth * np.sin(np.pi * larmor_freq * t) ** 4)
 
 
 def simulate_relaxometry(
@@ -425,13 +427,7 @@ def simulate_relaxometry(
     noise: NoiseSpec | None = None,
 ) -> DecayCurve:
     """Longitudinal relaxation: single exponential with time constant t1."""
-    for name, value in (("baseline", baseline), ("amplitude", amplitude)):
-        require(DynamicsError, name, value)
-    times = np.asarray(times, dtype=float)
-    require(DynamicsError, "times", times, "finite and nonnegative")
-    clean = baseline + amplitude * np.exp(-times / (coh.t1 * 1000.0))
-    signal, sigma = apply_noise(clean, noise)
-    return DecayCurve(times=times, signal=signal, sigma=sigma, kind="t1")
+    return _closed_form_trace("t1", coh.t1 * 1000.0, times, baseline, amplitude, 1.0, noise)
 
 
 # ---------------------------------------------------------------------------

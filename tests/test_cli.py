@@ -369,9 +369,10 @@ def test_decay_fit_on_a_bound_or_without_an_oscillation_exits_1(tmp_path):
     stretched = tmp_path / "stretched.txt"
     nvkit.save_curve(stretched, nvkit.DecayCurve(t, signal, np.full(t.size, 0.005), "hahn"))
     rabi = tmp_path / "rabi.txt"
+    # driven about 2.65 GHz from every line, the trace is flat noise
     assert run_main(["seq-sim", "--kind", "rabi", "--nuclei", "n14", "--b", "0,0,4.6",
-                     "--points", "101", "--tmax", "2", "--noise-sigma", "0.01", "--seed", "4",
-                     "--out", str(rabi)])[0] == 0
+                     "--drive-freq", "144.485", "--points", "101", "--tmax", "2",
+                     "--noise-sigma", "0.01", "--seed", "4", "--out", str(rabi)])[0] == 0
     for path, model, message in ((stretched, "stretched", "ended on a bound: n_stretch=3"),
                                  (rabi, "stretched_osc", "no oscillation found")):
         code, stdout, stderr = run_main(["decay-fit", "--in", str(path), "--model", model])
@@ -564,6 +565,41 @@ def test_odmr_sim_solves_each_orientation_once(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["odmr-sim", "--ensemble", "--points", "41", "--b", field]) == 0
         assert len(calls) == solves, field
+
+
+def _rabi_drive(monkeypatch, argv):
+    """The drive frequency that `seq-sim --kind rabi` hands to simulate_rabi."""
+    from nvkit import dynamics
+    drives = []
+    simulate = dynamics.simulate_rabi
+
+    def spy(system, env, coh, drive, *args, **kwargs):
+        drives.append(drive)
+        return simulate(system, env, coh, drive, *args, **kwargs)
+    monkeypatch.setattr(dynamics, "simulate_rabi", spy)
+    assert run_main(["seq-sim", "--kind", "rabi", "--points", "8", "--tmax", "0.5", *argv])[0] == 0
+    return drives[0]
+
+
+@pytest.mark.parametrize("argv, drive", [
+    (["--nuclei", "n14", "--b", "0,0,4.6"], 2799.029),
+    (["--b", "0,0,4.6"], 2801.383),
+])
+def test_rabi_default_drive_off_axis_is_a_line_with_weight(monkeypatch, argv, drive):
+    # the lowest line here is the ms=-1 <-> +1 pair near 145 MHz, at about 1e-8 weight
+    assert _rabi_drive(monkeypatch, argv) == pytest.approx(drive, abs=1e-3)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--nuclei", "n14"], ["--b", "57.735027,57.735027,57.735027"],
+    ["--nuclei", "n14", "--b", "2.655811,2.655811,2.655811"],
+    ["--nuclei", "n14,c13", "--b", "4.809329,4.809329,4.809329"],
+])
+def test_rabi_default_drive_on_axis_is_the_lowest_line(monkeypatch, argv):
+    from nvkit import cli, spin_model
+    args = cli.build_parser()[0].parse_args(["seq-sim", "--kind", "rabi", *argv])
+    lowest = spin_model.transition_lines(*cli._spin_inputs(args), merge_tol=0.01)[0][0]
+    assert _rabi_drive(monkeypatch, argv) == lowest
 
 
 @pytest.mark.parametrize("argv", [

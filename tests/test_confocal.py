@@ -270,6 +270,24 @@ def test_map_descending_axis_error(tmp_path):
         load_map(bad)
 
 
+@pytest.mark.parametrize("values, message", [
+    ("3 0.0 nan 2.0", "non-finite value"), ("3 0.0 1.0 inf", "non-finite value"),
+    ("3 -inf 0.0 1.0", "non-finite value"), ("3 0.0 1.0 1e400", "non-finite value"),
+    ("3 0.0 abc 2.0", "non-numeric value"), ("3 0.0 1.0 2.0 3.0", "expected 3 columns, got 4"),
+    ("3 0.0 1.0", "expected 3 columns, got 2"), ("3", "bad axis values"),
+    ("0", "bad axis values"), ("2 #0.0 1.0", "bad axis values"),
+])
+def test_map_axis_values_follow_the_data_row_rules(tmp_path, values, message):
+    bad = tmp_path / "axis.txt"
+    bad.write_text("# plmap v1 dims=2 power_mW=0.3\n"
+                   f"# axis x: {values}\n"
+                   "# axis y: 2 0.0 1.0\n"
+                   "1.0 2.0\n3.0 4.0\n5.0 6.0\n")
+    with pytest.raises(MapFormatError) as info:
+        load_map(bad)
+    assert str(info.value) == f"{bad}:2: {message}"
+
+
 def test_map_ragged_row_error(tmp_path):
     bad = tmp_path / "ragged.txt"
     bad.write_text("# plmap v1 dims=2 power_mW=0.3\n"

@@ -524,6 +524,14 @@ def test_relaxometry_single_exponential():
     assert curve.signal[0] == pytest.approx(1.0)
 
 
+def test_relaxometry_equals_the_plain_exponential_bit_for_bit():
+    times = np.linspace(0.0, 9000.0, 301)
+    for baseline, amplitude in ((0.5, 0.5), (0.1, -0.3), (-2.0, 7.25)):
+        curve = simulate_relaxometry(COH, times, baseline=baseline, amplitude=amplitude)
+        assert np.array_equal(curve.signal,
+                              baseline + amplitude * np.exp(-times / (COH.t1 * 1000)))
+
+
 def test_relaxometry_flat_for_long_t1():
     coh = CoherenceParams(t1=1e6, t2=1.53, t2_star=0.1, t_rho_rabi=0.81)
     times = np.linspace(0.0, 1000.0, 101)
