@@ -55,6 +55,8 @@ class PLMap:
             raise ConfocalError("counts shape does not match axis lengths")
         require(ConfocalError, "counts", counts, "finite and nonnegative")
         require(ConfocalError, "power", self.power, "finite and positive")
+        if 0 in counts.shape:  # save_map would write a file that load_map refuses
+            raise ConfocalError(f"axis {_AXIS_NAMES[counts.shape.index(0)]} must hold a value")
 
     @property
     def ndim(self) -> int:

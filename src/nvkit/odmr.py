@@ -4,9 +4,10 @@ Spectra are normalized photoluminescence versus microwave frequency; spin
 transitions appear as Lorentzian dips below the off-resonance baseline.
 CW spectra use a power-broadened default linewidth (8 MHz FWHM); pulsed
 spectra use 0.7 MHz, narrow enough to resolve the 2.16 MHz 14N structure.
-The dip fit passes the closed-form Jacobian of its residual to the
-Levenberg-Marquardt solver, so it makes one residual call per iteration and
-no finite-difference Jacobian.
+Synthesis, :meth:`LineShapeModel.evaluate` and the fit residual share one
+dip model. The dip fit passes the closed-form Jacobian of its residual to
+the Levenberg-Marquardt solver, so it makes one residual call per iteration
+and no finite-difference Jacobian.
 """
 
 from __future__ import annotations
@@ -77,17 +78,10 @@ class LineShapeModel:
             raise OdmrError("contrasts must lie in [0, 1)")
 
     def evaluate(self, freqs: np.ndarray) -> np.ndarray:
+        """The modelled signal at ``freqs`` (MHz, any shape, all finite)."""
         freqs = np.asarray(freqs, dtype=float)
-        signal = np.full_like(freqs, self.baseline)
-        for f0, c, w in zip(self.centers, self.contrasts, self.fwhms):
-            signal = signal - c * lorentzian(freqs, f0, w)
-        return signal
-
-
-def lorentzian(f, center, fwhm):
-    """Unit-peak Lorentzian profile."""
-    half = 0.5 * fwhm
-    return half ** 2 / ((np.asarray(f, dtype=float) - center) ** 2 + half ** 2)
+        require(OdmrError, "freqs", freqs)
+        return _dip_model(_pack(self), freqs)
 
 
 @dataclass
@@ -149,20 +143,21 @@ def synthesize_spectrum(
     Dips sit at the exact transition frequencies of the diagonalized
     Hamiltonian. With ensemble=True the four NV orientations contribute
     equally; orientations with the same field projection share one
-    eigensolve (see :func:`orientation_lines`). branch_weights scales dips
-    below/above the mean line position to mimic the contrast asymmetry of
-    strain-mixed sublevels; both must be finite and nonnegative.
-    ``unmerged`` is ``orientation_lines(system, env, ensemble)``, for a
-    caller that needs those lines too; it is computed here when None. Its
-    length must match ``ensemble``: four orientations, or one.
+    eigensolve (see :func:`orientation_lines`). branch_weights, exactly two
+    values, scales dips below/above the mean line position to mimic the
+    contrast asymmetry of strain-mixed sublevels; both must be finite and
+    nonnegative. ``unmerged`` is ``orientation_lines(system, env, ensemble)``,
+    for a caller that needs those lines too; it is computed here when None.
+    Its length must match ``ensemble``: four orientations, or one.
 
     Orientations whose unmerged arrays are equal byte for byte are merged
-    once, and each distinct merged line is evaluated once with its weight
-    times the share of orientations that hold it. Against subtracting every
-    orientation's dips one by one, this moves the signal only by rounding:
-    for unit baseline and contrast up to 0.1, by at most one unit in the
-    last place of 1.0 per dip so subtracted, which is under 2e-15 for the
-    eight dips of a bare-spin ensemble at zero field.
+    once, and each distinct merged line is one dip of the shared dip model,
+    all evaluated in one call, with its weight times the share of
+    orientations that hold it. Against subtracting every orientation's dips
+    one by one, this moves the signal only by rounding: for unit baseline
+    and contrast up to 0.1, by at most one unit in the last place of 1.0 per
+    dip so subtracted, which is under 2e-15 for the eight dips of a
+    bare-spin ensemble at zero field.
     """
     grid = np.asarray(grid, dtype=float)
     require(OdmrError, "frequency grid", grid)
@@ -179,6 +174,8 @@ def synthesize_spectrum(
     elif len(unmerged) != (n := 4 if ensemble else 1):
         raise OdmrError(f"unmerged holds {len(unmerged)} orientations; "
                         f"ensemble={ensemble} needs {n}")
+    if np.shape(branch_weights) != (2,):
+        raise OdmrError(f"branch_weights must hold 2 values, got shape {np.shape(branch_weights)}")
 
     groups: dict[tuple, list] = {}  # exact bytes -> [freqs, strengths, orientations]
     for freqs, strengths in unmerged:
@@ -190,13 +187,10 @@ def synthesize_spectrum(
         for freq, weight in merge_lines(freqs, strengths):
             lines.append((freq, weight * share))
 
-    signal = np.full_like(grid, baseline)
-    if lines and contrast > 0:
-        mean_freq = sum(f * w for f, w in lines) / sum(w for f, w in lines)
-        lo_w, hi_w = branch_weights
-        for freq, weight in lines:
-            branch = lo_w if freq < mean_freq else hi_w
-            signal = signal - contrast * branch * weight * lorentzian(grid, freq, width)
+    mean_freq = sum(f * w for f, w in lines) / sum(w for f, w in lines) if lines else 0.0
+    rows = np.array([(freq, weight, width) for freq, weight in lines]).reshape(-1, 3)
+    rows[:, 1] *= contrast * np.where(rows[:, 0] < mean_freq, *branch_weights)
+    signal = _dip_model(np.append(baseline, rows), grid)
 
     noisy, sigma = apply_noise(signal, noise)
     return OdmrSpectrum(freqs=grid, signal=noisy, sigma=sigma, mode=mode)
@@ -270,11 +264,12 @@ def _dip_terms(params, freqs):
     """Per-dip terms of the packed multi-dip model, each row one dip.
 
     With h = w/2 for each dip's FWHM w, returns (c, h, u, D, L): the
-    contrasts and half widths as ``(n_dips, 1)`` columns, and u = f - f0,
-    D = u^2 + h^2 and the unit-peak Lorentzian L = h^2/D as
-    ``(n_dips, n_freq)`` arrays.
+    contrasts and half widths as ``(n_dips, 1, ...)`` columns, with one
+    axis of length 1 per axis of ``freqs``, and u = f - f0, D = u^2 + h^2
+    and the unit-peak Lorentzian L = h^2/D as ``(n_dips, *freqs.shape)``
+    arrays.
     """
-    f0, c, w = params[1:].reshape(-1, 3).T[:, :, None]
+    f0, c, w = params[1:].reshape(-1, 3).T.reshape((3, -1) + (1,) * freqs.ndim)
     h = 0.5 * w
     u = freqs - f0
     h2 = h * h
@@ -282,15 +277,16 @@ def _dip_terms(params, freqs):
     return c, h, u, d, h2 / d
 
 
-def _dip_residuals(params, freqs, signal, weights, terms=None):
-    """Weighted residual of the packed multi-dip model against ``signal``.
-
-    ``terms`` is ``_dip_terms(params, freqs)``, computed here when None.
-    The dips are subtracted from the baseline one after another.
-    """
+def _dip_model(params, freqs, terms=None):
+    """The packed dips subtracted from the baseline in row order, at ``freqs``;
+    ``terms`` is ``_dip_terms(params, freqs)``, computed here when None."""
     c, _, _, _, shape = _dip_terms(params, freqs) if terms is None else terms
-    model = np.subtract.reduce(c * shape, axis=0, initial=params[0])
-    return (model - signal) * weights
+    return np.subtract.reduce(c * shape, axis=0, initial=params[0])
+
+
+def _dip_residuals(params, freqs, signal, weights, terms=None):
+    """Weighted residual of :func:`_dip_model` against ``signal``; ``terms`` as there."""
+    return (_dip_model(params, freqs, terms) - signal) * weights
 
 
 def _dip_jacobian(params, freqs, weights, terms=None):

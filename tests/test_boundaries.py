@@ -128,6 +128,8 @@ CASES = [
                     fwhms=np.array([5.0, 5.0]), baseline=1.0),
                dict(contrasts=NEGATIVE | st.floats(min_value=1.0, allow_infinity=False),
                     fwhms=NONPOSITIVE)),
+    Case(LineShapeModel.evaluate, "freqs", OdmrError, GRID, NONFINITE,
+         LineShapeModel([2865.0, 2875.0], [0.1, 0.1], [5.0, 5.0]).evaluate),
     *arguments_of(synthesize_spectrum, OdmrError,
                   dict(grid=GRID, contrast=0.1, baseline=1.0, fwhm=8.0,
                        branch_weights=np.array([1.0, 1.0])),

@@ -184,6 +184,13 @@ def test_plmap_rejects_nonfinite_values(field, bad):
         PLMap(axes=tuple(axes), counts=counts, power=power)
 
 
+@pytest.mark.parametrize("shape, name", [((0, 2), "x"), ((2, 0), "y"), ((2, 2, 0), "z")])
+def test_plmap_refuses_an_empty_axis(shape, name):
+    axes = tuple(np.arange(float(n)) for n in shape)
+    with pytest.raises(ConfocalError, match=f"^axis {name} must hold a value$"):
+        PLMap(axes=axes, counts=np.zeros(shape), power=1.0)
+
+
 @pytest.mark.parametrize("index", [61, -1, 30.7])
 def test_slice_index_must_be_a_whole_number_inside_its_axis(index):
     # the fixed axis y has 61 points: 61 is past its end, -1 does not count
@@ -240,6 +247,27 @@ def test_map_roundtrip_bit_identical(tmp_path):
                                 "# axis y: 3 -1.0 1.0 2.0\n"
                                 "1.0 2.5 3.0\n4.0 0.0 1e-07\n")
     assert load_map(path).counts[1, 2] == 1e-7
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.lists(st.integers(0, 3), min_size=2, max_size=3), data=st.data())
+def test_every_map_plmap_accepts_loads_back(tmp_path_factory, shape, data):
+    axes = tuple(data.draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n,
+                                    unique=True).map(sorted), label=f"axis {k}")
+                 for k, n in enumerate(shape))
+    counts = data.draw(st.lists(st.floats(min_value=0.0), min_size=int(np.prod(shape)),
+                                max_size=int(np.prod(shape))), label="counts")
+    power = data.draw(st.floats(min_value=0.0, exclude_min=True), label="power")
+    try:
+        plmap = PLMap(axes=axes, counts=np.reshape(counts, shape), power=power)
+    except ConfocalError:
+        return
+    path = tmp_path_factory.mktemp("map") / "map.txt"
+    save_map(path, plmap)
+    back = load_map(path)
+    assert back.power == plmap.power
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(back.axes, plmap.axes))
+    assert back.counts.tobytes() == plmap.counts.tobytes()
 
 
 def test_map_small_2x2(tmp_path):

@@ -15,7 +15,6 @@ from nvkit.odmr import (
     fit_spectrum,
     invert_shift_splitting,
     load_spectrum,
-    lorentzian,
     save_spectrum,
     synthesize_spectrum,
 )
@@ -91,10 +90,18 @@ def test_line_shape_model_rejects_nonfinite_field(name, value):
     ("branch_weights", (1.0, -0.5), "branch_weights must be nonnegative"),
     ("branch_weights", (np.nan, 1.0), "branch_weights must be finite"),
     ("branch_weights", (1.0, np.inf), "branch_weights must be finite"),
+    ("branch_weights", (1.0,), "branch_weights must hold 2 values"),
+    ("branch_weights", (1.0, 1.0, 1.0), "branch_weights must hold 2 values"),
+    ("branch_weights", np.ones((2, 2)), "branch_weights must hold 2 values"),
+    ("branch_weights", 1.0, "branch_weights must hold 2 values"),
 ])
 def test_synthesis_rejects_bad_line_parameters(name, value, message):
     with pytest.raises(OdmrError, match=message):
         synthesize_spectrum(SpinSystem(), FieldEnvironment(), "cw", GRID, **{name: value})
+    if name == "branch_weights":  # also where no dip would read them
+        with pytest.raises(OdmrError, match=message):
+            synthesize_spectrum(SpinSystem(), FieldEnvironment(), "cw", GRID, contrast=0.0,
+                                branch_weights=value)
 
 
 def test_ensemble_equals_orientation_average():
@@ -180,26 +187,48 @@ def _count_calls(monkeypatch, *names):
 @pytest.mark.parametrize("system", [SpinSystem(), SpinSystem(nuclei=(HyperfineCoupling.nitrogen14(),))],
                          ids=["bare", "N14"])
 def test_zero_field_ensemble_merges_and_evaluates_each_line_once(monkeypatch, system):
-    counts = _count_calls(monkeypatch, "unmerged_lines", "merge_lines", "lorentzian")
+    counts = _count_calls(monkeypatch, "unmerged_lines", "merge_lines")
+    dips = []  # the dip count of each call of the dip model
+    model = odmr._dip_model
+
+    def counted(params, *args):
+        dips.append((params.size - 1) // 3)
+        return model(params, *args)
+    monkeypatch.setattr(odmr, "_dip_model", counted)
     env = FieldEnvironment(shift_xi=1.0, splitting_delta=3.0)
     synthesize_spectrum(system, env, "cw", GRID, ensemble=True)
     distinct = len(merge_lines(*unmerged_lines(system, env)))
-    assert counts == {"unmerged_lines": 1, "merge_lines": 1, "lorentzian": distinct}
+    assert counts == {"unmerged_lines": 1, "merge_lines": 1}
+    assert dips == [distinct]
     assert distinct == 2 or system.nuclei
 
 
-def _synthesis_reference(unmerged, grid, width, branch_weights, contrast=0.1, baseline=1.0):
-    """The signal as summed before lines were grouped: each orientation on its own."""
+def _lorentzian(f, center, fwhm):
+    """Unit-peak Lorentzian, written out per line, independent of the dip model."""
+    half = 0.5 * fwhm
+    return half ** 2 / ((f - center) ** 2 + half ** 2)
+
+
+def _synthesis_reference(unmerged, grid, width, branch_weights, contrast=0.1, baseline=1.0,
+                         grouped=False):
+    """The signal summed one line at a time. By default each orientation's lines count
+    on their own, as before lines were grouped; with grouped=True orientations whose
+    arrays are equal byte for byte are merged once, as the synthesis merges them."""
+    groups = {}  # exact bytes (or position) -> [freqs, strengths, orientations]
+    for k, (freqs, strengths) in enumerate(unmerged):
+        key = (freqs.tobytes(), strengths.tobytes()) if grouped else k
+        groups.setdefault(key, [freqs, strengths, 0])[2] += 1
     lines = []
-    for freqs, strengths in unmerged:
+    for freqs, strengths, count in groups.values():
+        share = count / len(unmerged)
         for freq, weight in merge_lines(freqs, strengths):
-            lines.append((freq, weight / len(unmerged)))
+            lines.append((freq, weight * share))
     signal = np.full_like(grid, baseline)
     mean_freq = sum(f * w for f, w in lines) / sum(w for f, w in lines)
     lo_w, hi_w = branch_weights
     for freq, weight in lines:
         branch = lo_w if freq < mean_freq else hi_w
-        signal = signal - contrast * branch * weight * lorentzian(grid, freq, width)
+        signal = signal - contrast * branch * weight * _lorentzian(grid, freq, width)
     return signal
 
 
@@ -224,6 +253,26 @@ def test_grouped_synthesis_matches_the_per_orientation_sum(b_lab, branch_weights
         assert summed > 8 or np.max(np.abs(spec.signal - reference)) <= 2e-15
 
 
+@pytest.mark.parametrize("b_lab", [np.zeros(3), 1.5 * AXIS_111, np.array([1.0, 2.0, 3.0])],
+                         ids=["zero", "axial", "generic"])
+@pytest.mark.parametrize("nuclei", [(), (HyperfineCoupling.nitrogen14(),)], ids=["bare", "N14"])
+@pytest.mark.parametrize("mode", ["cw", "pulsed"])
+def test_synthesis_at_the_default_widths_equals_the_per_line_sum_bit_for_bit(b_lab, nuclei,
+                                                                             mode):
+    # both default half widths, 4.0 and 0.35, square alike as h**2 and h*h
+    system = SpinSystem(nuclei=nuclei)
+    env = FieldEnvironment(b_lab=b_lab, shift_xi=1.0, splitting_delta=0.5)
+    width = odmr.CW_FWHM_MHZ if mode == "cw" else odmr.PULSED_FWHM_MHZ
+    for ensemble in (False, True):
+        unmerged = odmr.orientation_lines(system, env, ensemble)
+        for branch_weights in ((1.0, 1.0), (0.7, 1.3)):
+            spec = synthesize_spectrum(system, env, mode, GRID, ensemble=ensemble,
+                                       branch_weights=branch_weights)
+            reference = _synthesis_reference(unmerged, GRID, width, branch_weights,
+                                             grouped=True)
+            assert spec.signal.tobytes() == reference.tobytes()
+
+
 def test_synthesis_rejects_lines_of_the_other_orientation_count():
     env = FieldEnvironment(b_lab=np.array([1.0, 2.0, 3.0]))
     system = SpinSystem()
@@ -245,7 +294,7 @@ def test_lorentzian_dip_area_linear_in_contrast():
     freqs = np.linspace(-200.0, 200.0, 20001)
     areas = []
     for contrast in (0.05, 0.10, 0.20):
-        dip = contrast * lorentzian(freqs, 0.0, 2.0)
+        dip = 1.0 - LineShapeModel([0.0], [contrast], [2.0]).evaluate(freqs)
         areas.append(np.trapezoid(dip, freqs))
     assert areas[1] / areas[0] == pytest.approx(2.0, rel=1e-6)
     assert areas[2] / areas[0] == pytest.approx(4.0, rel=1e-6)
@@ -352,7 +401,7 @@ def _dip_residuals_reference(params, freqs, signal, weights):
     """The residual as written before the per-dip terms were shared."""
     model = np.full_like(freqs, params[0])
     for f0, c, w in params[1:].reshape(-1, 3):
-        model = model - c * lorentzian(freqs, f0, w)
+        model = model - c * _lorentzian(freqs, f0, w)
     return (model - signal) * weights
 
 
