@@ -120,7 +120,7 @@ def _spin_inputs(args):
     nuclei = _parse_nuclei(args.nuclei)
     system = spin_model.SpinSystem(d_zfs=args.d, nuclei=nuclei)
     env = spin_model.FieldEnvironment(
-        b_lab=np.array(_floats(args.b, 3, "--b")),
+        b_lab=_floats(args.b, 3, "--b"),
         shift_xi=args.xi,
         splitting_delta=args.delta,
     )

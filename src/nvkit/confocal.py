@@ -16,7 +16,7 @@ import numpy as np
 
 from .constants import CARBON_DENSITY_PER_CM3
 from .fitting import FitError, FitResult, levenberg_marquardt, pinned
-from .tables import frozen, parse_header, parse_rows, require, write_table
+from .tables import frozen, numbers, parse_header, parse_rows, require, whole, write_table
 
 GAUSS_INTEGRAL_PER_FWHM = float(np.sqrt(np.pi / (4.0 * np.log(2.0))))
 _AXIS_NAMES = ("x", "y", "z")
@@ -39,17 +39,18 @@ class PLMap:
     power: float
 
     def __post_init__(self):
-        axes = tuple(frozen(a) for a in self.axes)
-        counts = frozen(self.counts)
+        if len(self.axes) not in (2, 3):
+            raise ConfocalError("PLMap supports 2 or 3 axes")
+        axes = tuple(frozen(numbers(ConfocalError, f"axis {name}", a))
+                     for name, a in zip(_AXIS_NAMES, self.axes))
+        counts = frozen(numbers(ConfocalError, "counts", self.counts))
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "counts", counts)
-        if len(axes) not in (2, 3):
-            raise ConfocalError("PLMap supports 2 or 3 axes")
         for name, a in zip(_AXIS_NAMES, axes):
             if a.ndim != 1:
                 raise ConfocalError(f"axis {name} must be 1-D, got shape {a.shape}")
             require(ConfocalError, f"axis {name}", a)
-            if not (np.diff(a) > 0).all():
+            if not (a[1:] > a[:-1]).all():
                 raise ConfocalError(f"axis {name} must be strictly increasing")
         if counts.shape != tuple(len(a) for a in axes):
             raise ConfocalError("counts shape does not match axis lengths")
@@ -136,16 +137,12 @@ def extract_slice(plmap: PLMap, axis: int, index):
     """
     if not 0 <= axis < plmap.ndim:
         raise ConfocalError(f"axis {axis} out of range for a {plmap.ndim}D map")
-    index = np.atleast_1d(index).tolist()
+    index = np.atleast_1d(numbers(ConfocalError, "index", index)).tolist()
     if len(index) != plmap.ndim - 1:
         raise ConfocalError("index must fix all axes except the sliced one")
     fixed = [k for k in range(plmap.ndim) if k != axis]
-    for i, k in zip(index, fixed):
-        n = plmap.counts.shape[k]
-        if not (float(i).is_integer() and 0 <= i < n):
-            raise ConfocalError(f"index {i:g} of axis {_AXIS_NAMES[k]} must be a "
-                                f"whole number from 0 to {n - 1}")
-    slicer = [int(i) for i in index]
+    slicer = [whole(ConfocalError, f"index of axis {_AXIS_NAMES[k]}", i, 0,
+                    plmap.counts.shape[k] - 1) for i, k in zip(index, fixed)]
     slicer.insert(axis, slice(None))
     return plmap.axes[axis], plmap.counts[tuple(slicer)]
 
@@ -258,7 +255,7 @@ def load_map(path) -> PLMap:
         except (IndexError, ValueError):
             raise MapFormatError(f"{path}:{lineno}: bad axis values") from None
         axes.append(parse_rows(path, [" ".join(parts[4:])], lineno, n, MapFormatError)[0])
-        if not np.all(np.diff(axes[-1]) > 0):
+        if not (axes[-1][1:] > axes[-1][:-1]).all():
             raise MapFormatError(f"{path}:{lineno}: axis {name} is not strictly increasing")
 
     data = parse_rows(path, lines[dims + 1:], dims + 2, len(axes[-1]), MapFormatError)

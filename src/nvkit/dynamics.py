@@ -26,7 +26,7 @@ import numpy as np
 from .fitting import FitError, FitResult, levenberg_marquardt, median, pinned, sigma_weights
 from .noise import NoiseSpec, apply_noise
 from .spin_model import FieldEnvironment, SpinSystem, eigenbasis, eigenlevels, transition_lines
-from .tables import MIN_POINTS, columns, read_table, require, write_table
+from .tables import MIN_POINTS, columns, numbers, read_table, require, whole, write_table
 
 READOUT_CONTRAST_SINGLE = 0.2
 
@@ -149,7 +149,7 @@ class DecayCurve:
         if len(times) < MIN_POINTS:
             raise DynamicsError(f"decay curve needs at least {MIN_POINTS} points")
         require(DynamicsError, "times", times)
-        if not (np.diff(times) > 0).all():
+        if not (times[1:] > times[:-1]).all():
             raise DynamicsError("times must be strictly increasing")
         require(DynamicsError, "signal", signal)
         require(DynamicsError, "sigma", sigma, "finite and nonnegative")
@@ -183,7 +183,7 @@ class EnvelopeFit:
 
     def __post_init__(self):
         require(DynamicsError, "t_coh", self.t_coh, "finite and positive")
-        if not (0.3 < self.n_stretch < 4.0):
+        if not (0.3 < numbers(DynamicsError, "n_stretch", self.n_stretch) < 4.0):
             raise DynamicsError(f"n_stretch must lie in (0.3, 4), got {self.n_stretch!r}")
 
 
@@ -316,10 +316,9 @@ def simulate_rabi(
     for name, value in (("drive_freq", drive_freq), ("rabi_freq", rabi_freq),
                         ("readout_contrast", readout_contrast)):
         require(DynamicsError, name, value)
-    durations = np.asarray(durations, dtype=float)
-    if durations.size == 0:
+    durations = require(DynamicsError, "durations", durations, "finite and nonnegative")
+    if np.size(durations) == 0:
         raise DynamicsError("empty duration grid")
-    require(DynamicsError, "durations", durations, "finite and nonnegative")
     frame = _RotatingFrame(system, env, drive_freq)
     evals, evecs = eigenlevels(frame.hamiltonian(rabi_freq, 0.0))
     rho_e, p0_e = evecs.conj().T @ np.array((frame.initial_state(), frame.p0)) @ evecs
@@ -366,8 +365,7 @@ def _closed_form_trace(kind, t_coh, times, baseline, amplitude, stretch, noise,
     require(DynamicsError, "baseline", baseline)
     require(DynamicsError, "amplitude", amplitude)
     require(DynamicsError, "stretch", stretch, "finite and positive")
-    times = np.asarray(times, dtype=float)
-    require(DynamicsError, "times", times, "finite and nonnegative")
+    times = require(DynamicsError, "times", times, "finite and nonnegative")
     clean = baseline + amplitude * np.exp(-np.power(times / t_coh, stretch)) * shape(times)
     return DecayCurve(times, *apply_noise(clean, noise), kind)
 
@@ -515,9 +513,7 @@ def extract_frequencies(curve: DecayCurve, max_components: int):
     refinement of damped cosines in the time domain. Components are returned
     sorted by descending amplitude. A constant trace yields an empty list.
     """
-    if not (float(max_components).is_integer() and max_components >= 1):
-        raise DynamicsError(f"max_components must be at least 1 and whole, got {max_components!r}")
-    max_components = int(max_components)
+    max_components = whole(DynamicsError, "max_components", max_components, 1)
     if len(curve.times) < 2 * max_components:
         raise DynamicsError("too few points for the requested component count")
     times, signal = curve.times, curve.signal

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tables import frozen
+from .tables import frozen, numbers, require
 
 MAX_ITER = 200   # iterations before the solver gives up
 RTOL = 1e-10     # relative change of the squared residual norm
@@ -105,7 +105,7 @@ def pinned(params, bounds, names) -> str:
 
 
 def levenberg_marquardt(residuals, x0, bounds=None, jac=None) -> FitResult:
-    """Minimize ``sum(residuals(x)**2)`` starting from ``x0``.
+    """Minimize ``sum(residuals(x)**2)`` starting from the finite ``x0``.
 
     residuals: callable returning the weighted residual vector.
     bounds: optional sequence of (lo, hi) per parameter; trial points are
@@ -113,10 +113,11 @@ def levenberg_marquardt(residuals, x0, bounds=None, jac=None) -> FitResult:
     jac: optional callable returning the residual Jacobian; central
         differences are used when absent.
     """
+    x0 = require(FitError, "x0", x0)
     if bounds is None:
         bounds = [(-np.inf, np.inf)] * len(x0)
-    lo, hi = np.array(bounds, dtype=float).T  # clipping to an infinite bound changes nothing
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    lo, hi = numbers(FitError, "bounds", bounds).T  # clipping to an infinite bound changes nothing
+    x = np.clip(x0, lo, hi)
     r = np.asarray(residuals(x), dtype=float)
     if not np.isfinite(r).all():
         raise FitError("residuals are not finite at the starting point")

@@ -37,7 +37,8 @@ class NoiseSpec:
             raise NoiseError(f"unknown noise kind {self.kind!r}")
         require(NoiseError, "sigma", self.sigma, "finite and nonnegative")
         require(NoiseError, "counts", self.counts, "finite and nonnegative")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+        if not (isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool)
+                and self.seed >= 0):
             raise NoiseError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.kind == "poisson" and self.counts <= 0:
             raise NoiseError("poisson noise requires counts > 0")
@@ -49,14 +50,13 @@ def apply_noise(signal: np.ndarray, spec: NoiseSpec | None):
     With spec=None the signal is returned unchanged with unit weights.
     The signal must be finite.
     """
-    signal = np.asarray(signal, dtype=float)
-    require(NoiseError, "signal", signal)
+    signal = require(NoiseError, "signal", signal)
     if spec is None:
-        return signal.copy(), np.ones_like(signal)
+        return np.array(signal), np.ones_like(signal)
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "gaussian":
         sigma = np.full_like(signal, float(spec.sigma))
-        return signal + rng.normal(0.0, spec.sigma, signal.shape), sigma
+        return signal + rng.normal(0.0, spec.sigma, np.shape(signal)), sigma
     expected = np.clip(signal, 0.0, None) * spec.counts
     noisy = rng.poisson(expected) / spec.counts
     sigma = np.sqrt(np.clip(expected, 1.0, None)) / spec.counts

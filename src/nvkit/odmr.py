@@ -27,7 +27,7 @@ from .spin_model import (
     project_field,
     unmerged_lines,
 )
-from .tables import MIN_POINTS, columns, read_table, require, write_table
+from .tables import MIN_POINTS, columns, numbers, read_table, require, whole, write_table
 
 CW_FWHM_MHZ = 8.0
 PULSED_FWHM_MHZ = 0.7
@@ -47,11 +47,12 @@ class OdmrSpectrum:
     mode: str = "cw"
 
     def __post_init__(self):
+        numbers(OdmrError, "frequency grid", self.freqs)  # named as its finite check names it
         freqs, signal, sigma = columns(self, OdmrError, "freqs", "signal", "sigma")
         if len(freqs) < MIN_POINTS:
             raise OdmrError(f"spectrum needs at least {MIN_POINTS} points")
         require(OdmrError, "frequency grid", freqs)
-        if not (np.diff(freqs) > 0).all():
+        if not (freqs[1:] > freqs[:-1]).all():
             raise OdmrError("frequency grid must be strictly increasing")
         require(OdmrError, "signal", signal)
         require(OdmrError, "sigma", sigma, "finite and nonnegative")
@@ -79,9 +80,7 @@ class LineShapeModel:
 
     def evaluate(self, freqs: np.ndarray) -> np.ndarray:
         """The modelled signal at ``freqs`` (MHz, any shape, all finite)."""
-        freqs = np.asarray(freqs, dtype=float)
-        require(OdmrError, "freqs", freqs)
-        return _dip_model(_pack(self), freqs)
+        return _dip_model(_pack(self), require(OdmrError, "freqs", freqs))
 
 
 @dataclass
@@ -159,8 +158,7 @@ def synthesize_spectrum(
     dip so subtracted, which is under 2e-15 for the eight dips of a
     bare-spin ensemble at zero field.
     """
-    grid = np.asarray(grid, dtype=float)
-    require(OdmrError, "frequency grid", grid)
+    grid = require(OdmrError, "frequency grid", grid)
     if mode not in ("cw", "pulsed"):
         raise OdmrError(f"unknown mode {mode!r}; expected 'cw' or 'pulsed'")
     require(OdmrError, "contrast", contrast, "finite and nonnegative")
@@ -269,7 +267,7 @@ def _dip_terms(params, freqs):
     and the unit-peak Lorentzian L = h^2/D as ``(n_dips, *freqs.shape)``
     arrays.
     """
-    f0, c, w = params[1:].reshape(-1, 3).T.reshape((3, -1) + (1,) * freqs.ndim)
+    f0, c, w = params[1:].reshape(-1, 3).T.reshape((3, -1) + (1,) * np.ndim(freqs))
     h = 0.5 * w
     u = freqs - f0
     h2 = h * h
@@ -329,9 +327,7 @@ def fit_spectrum(
     """
     require(OdmrError, "d_reference", d_reference)
     most = (len(spectrum.freqs) - 1) // 3  # 3 parameters per dip and a baseline
-    if not (float(n_dips).is_integer() and 1 <= n_dips <= most):
-        raise OdmrError(f"n_dips must be a whole number from 1 to {most}, got {n_dips!r}")
-    n_dips = int(n_dips)
+    n_dips = whole(OdmrError, "n_dips", n_dips, 1, most)
     if np.ptp(spectrum.signal) <= 0:
         raise OdmrError("spectrum is constant; nothing to fit")
     model0 = init if init is not None else _initial_model(spectrum, n_dips)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .fitting import FitError, FitResult, levenberg_marquardt, median, pinned, sigma_weights
 from .noise import NoiseSpec, apply_noise
-from .tables import columns, read_table, require, write_table
+from .tables import columns, numbers, read_table, require, write_table
 
 TAU_BOUNDS_NS = (0.01, 1e4)
 AMPLITUDE_BOUNDS = (0.0, 5.0)
@@ -63,32 +63,34 @@ class G2FitResult:
 
 
 def g2_model(tau, params) -> np.ndarray:
-    """Evaluate the correlation model; params is a G2FitResult or 7-vector
-    (tau0, c1, tau1, c2, tau2, c3, tau3)."""
-    if isinstance(params, G2FitResult):
-        p = params.as_array()
-    else:
-        p = np.asarray(params, dtype=float)
-    tau0, c1, tau1, c2, tau2, c3, tau3 = p
-    d = np.abs(np.asarray(tau, dtype=float) - tau0)
+    """Evaluate the correlation model at finite delays ``tau``; params is a
+    G2FitResult or 7 finite values (tau0, c1, tau1, c2, tau2, c3, tau3)."""
+    tau0, c1, tau1, c2, tau2, c3, tau3 = _seven("params", params)
+    d = np.abs(require(PhotonStatsError, "tau", tau) - tau0)
     return (1.0 - c1 * np.exp(-d / tau1)
             + c2 * np.exp(-d / tau2) + c3 * np.exp(-d / tau3))
+
+
+def _seven(name, value):
+    """``value``, or a G2FitResult's values, as the 7 finite values of :func:`g2_model`."""
+    p = numbers(PhotonStatsError, name,
+                value.as_array() if isinstance(value, G2FitResult) else value)
+    if p.shape != (7,):
+        raise PhotonStatsError(f"{name} must hold 7 values, got shape {p.shape}")
+    return require(PhotonStatsError, name, p)
 
 
 def synthesize_g2(taus, params, noise: NoiseSpec | None = None) -> G2Curve:
     """Model curve on the given delay grid, optionally with seeded noise.
 
-    The delays and parameters must be finite, and the three time constants
-    positive.
+    The delays and the 7 parameters must be finite, and the three time
+    constants positive.
     """
-    taus = np.asarray(taus, dtype=float)
-    require(PhotonStatsError, "taus", taus)
-    p = params.as_array() if isinstance(params, G2FitResult) else np.asarray(params, float)
-    require(PhotonStatsError, "params", p)
+    taus = require(PhotonStatsError, "taus", taus)
+    p = _seven("params", params)
     for name, value in zip(("tau1", "tau2", "tau3"), p[2::2]):
         require(PhotonStatsError, f"params {name}", value, "finite and positive")
-    clean = g2_model(taus, p)
-    values, sigma = apply_noise(clean, noise)
+    values, sigma = apply_noise(g2_model(taus, p), noise)
     return G2Curve(taus=taus, g2=values, sigma=sigma)
 
 
@@ -181,12 +183,7 @@ def fit_g2(curve: G2Curve, init=None) -> G2FitResult:
     """
     if len(curve.taus) < 14:
         raise PhotonStatsError("need at least 14 points spanning the dip and shoulders")
-    if init is None:
-        x0 = _initial_g2_params(curve)
-    elif (x0 := np.asarray(init, dtype=float)).shape != (7,):
-        raise PhotonStatsError(f"init must hold 7 values, got shape {x0.shape}")
-    else:
-        require(PhotonStatsError, "init", x0)
+    x0 = _initial_g2_params(curve) if init is None else _seven("init", init)
     taus, g2 = curve.taus, curve.g2
     weights = sigma_weights(curve.sigma)
 
@@ -231,15 +228,14 @@ class SaturationFit:
 
 def saturation_model(powers, fit: SaturationFit):
     """Detected PL rate (counts/s) at excitation powers (mW)."""
-    p = np.asarray(powers, dtype=float)
-    require(PhotonStatsError, "powers", p, "finite and nonnegative")
-    return fit.c_sat * p / (p + fit.p_sat)
+    p = require(PhotonStatsError, "powers", powers, "finite and nonnegative")
+    return np.multiply(fit.c_sat, p) / (p + fit.p_sat)  # a numpy scalar for a scalar power
 
 
 def fit_saturation(powers, counts) -> SaturationFit:
     """Fit the saturation curve to (power, counts) samples."""
-    powers = np.asarray(powers, dtype=float)
-    counts = np.asarray(counts, dtype=float)
+    powers = numbers(PhotonStatsError, "powers", powers)
+    counts = numbers(PhotonStatsError, "counts", counts)
     if powers.shape != counts.shape:
         raise PhotonStatsError(f"powers and counts must have the same shape, "
                                f"got {powers.shape} and {counts.shape}")

@@ -32,7 +32,7 @@ from .constants import (
     GAMMA_E_MHZ_PER_MT,
     NV_AXES,
 )
-from .tables import frozen, require
+from .tables import frozen, numbers, require
 
 MAX_DIMENSION = 18
 _SQRT_HALF = 1.0 / np.sqrt(2.0)  # the entries of the S=1 Sx and Sy
@@ -108,7 +108,7 @@ class HyperfineCoupling:
 
 def _vector3(name, value, what="3-vector") -> np.ndarray:
     """``value`` as a read-only float copy, checked to be a finite ``what``."""
-    v = frozen(value)
+    v = frozen(numbers(SpinModelError, name, value))
     if v.shape != (3,):
         raise SpinModelError(f"{name} must be a {what}, got shape {v.shape}")
     require(SpinModelError, name, v)
@@ -193,19 +193,19 @@ class SpinSystem:
 class HamiltonianMatrix:
     """Hermitian matrix in MHz with its Hilbert-space dimension.
 
-    The entries are checked once, here: they must be finite, and no entry
-    of h - h^H may exceed 1e-9 times the Frobenius norm of h, a rule without
-    an absolute scale. :func:`eigenlevels` trusts a matrix built this way.
+    The entries are checked once, here: they must be finite, real or complex,
+    and no entry of h - h^H may exceed 1e-9 times the Frobenius norm of h, a
+    rule without an absolute scale. :func:`eigenlevels` trusts it as built.
     """
 
     entries: np.ndarray
     dimension: int
 
     def __post_init__(self):
-        h = np.asarray(self.entries, dtype=complex)
+        h = numbers(SpinModelError, "entries", self.entries, complex)
         if h.shape != (self.dimension, self.dimension):
             raise SpinModelError("matrix shape does not match declared dimension")
-        require(SpinModelError, "entries", h)
+        require(SpinModelError, "entries", h, dtype=complex)
         scale = max(np.linalg.norm(h), 1e-300)
         if np.max(np.abs(h - h.conj().T)) > 1e-9 * scale:
             raise SpinModelError("matrix is not Hermitian within tolerance")
@@ -283,6 +283,8 @@ def build_hamiltonian(system: SpinSystem, env: FieldEnvironment) -> HamiltonianM
 
 def resonance_frequencies_approx(d: float, xi: float, delta: float):
     """First-order two-line approximation: (D + xi - 2*delta, D + xi + 2*delta)."""
+    for name, value in (("d", d), ("xi", xi), ("delta", delta)):
+        require(SpinModelError, name, value)
     return d + xi - 2.0 * delta, d + xi + 2.0 * delta
 
 
@@ -298,7 +300,8 @@ def eigenlevels(h: HamiltonianMatrix | np.ndarray):
     Hermiticity test once. Entries written after construction are not re-checked.
     """
     if not isinstance(h, HamiltonianMatrix):
-        h = HamiltonianMatrix(h, len(h))
+        entries = numbers(SpinModelError, "entries", h, complex)
+        h = HamiltonianMatrix(entries, len(entries) if entries.ndim else 0)
     return np.linalg.eigh(h.entries)
 
 
@@ -367,6 +370,7 @@ def transition_lines(system: SpinSystem, env: FieldEnvironment, merge_tol: float
     Weights combine the initial ms=0 population prepared by optical pumping
     with the polarization-averaged magnetic drive strength |Sx_ij|^2 +
     |Sy_ij|^2; they are normalized to sum to 1. Lines closer than
-    ``merge_tol`` (MHz) are merged.
+    ``merge_tol`` (MHz) are merged; it must be finite.
     """
+    require(SpinModelError, "merge_tol", merge_tol)
     return merge_lines(*unmerged_lines(system, env), merge_tol)

@@ -1,4 +1,4 @@
-"""Text tables, the one finite/sign check of every input, and how a record keeps an array.
+"""Text tables, the one numeric boundary of every input, and how a record keeps an array.
 
 A table may open with a header `# <kind> v1 key=value ...`. Data rows hold
 whitespace-separated numbers; blank lines and lines starting with `#` are
@@ -6,11 +6,13 @@ skipped. Every value must be finite, and every error names `path:line`, except
 a file without data rows, which has no line to name.
 Writers emit each value as `repr(float(v))`, so a load round-trips bit-identically.
 
-:func:`require` is the finite/sign check that every module applies to its
-dataclass fields and function arguments, raising the module's own error.
-
-A record keeps no caller's array: :func:`frozen` gives it a read-only copy,
-so a checked value stays checked; :func:`columns` does so for its 1-D columns.
+Every module checks its fields and arguments here, raising its own error named
+after the field. :func:`numbers` passes what numpy holds as integers or floats
+(or complex, for the one complex record) and refuses a bool, string, ``None``,
+object or ragged sequence; :func:`require` adds the finite/sign check,
+:func:`whole` the whole-number check. A record keeps no caller's array:
+:func:`frozen` gives it a read-only copy, so a checked value stays checked;
+:func:`columns` does so for its 1-D columns.
 """
 
 from __future__ import annotations
@@ -24,9 +26,24 @@ _SIGN_TESTS = {"finite": None, "finite and positive": lambda x: x > 0,
 MIN_POINTS = 8  # the fewest samples an ODMR spectrum or a decay curve may hold
 
 
-def require(error, name, value, rule="finite"):
-    """Raise ``error`` naming ``name`` unless every element of ``value`` obeys ``rule``.
+def numbers(error, name, value, dtype=float) -> np.ndarray:
+    """``value`` as a ``dtype`` array if numpy holds it as integers or floats, or as
+    complex numbers for ``dtype=complex``; else raise ``error`` naming ``name``."""
+    what, kinds = ("numeric", "iufc") if dtype is complex else ("real", "iuf")  # bool is "b"
+    try:
+        a = np.asarray(value)
+    except ValueError:  # numpy refuses a ragged sequence
+        raise error(f"{name} must be {what}, got a ragged sequence") from None
+    if a.dtype.kind not in kinds:
+        raise error(f"{name} must be {what}, got {value!r}" if a.ndim == 0 else
+                    f"{name} must be {what}, got an array of {a.dtype}")
+    return a.astype(dtype, copy=False)
 
+
+def require(error, name, value, rule="finite", dtype=float):
+    """Return ``value`` once every element obeys ``rule``; raise ``error`` naming ``name``.
+
+    A Python float comes back as it is, any other value as :func:`numbers` gives it.
     ``rule`` is "finite", "finite and positive" or "finite and nonnegative".
     A non-finite value gives "<name> must be <rule>"; a finite value of the
     wrong sign gives that and "<name> must be positive" (or "nonnegative").
@@ -35,9 +52,10 @@ def require(error, name, value, rule="finite"):
     sign = _SIGN_TESTS[rule]
     if isinstance(value, float):  # a float scalar skips numpy's per-call overhead
         if math.isfinite(value) and (sign is None or sign(value)):
-            return
-    elif np.isfinite(a := np.asarray(value)).all() and (sign is None or sign(a).all()):
-        return
+            return value
+    elif np.isfinite(a := numbers(error, name, value, dtype)).all() and \
+            (sign is None or sign(a).all()):
+        return a
     a = np.asarray(value)
     wrong_sign = np.isfinite(a).all()
     ok = sign(a) if wrong_sign else np.isfinite(a)
@@ -45,6 +63,17 @@ def require(error, name, value, rule="finite"):
     where = np.unravel_index(np.argmin(ok), a.shape)  # the first offending element
     at = f" at index {where[0] if a.ndim == 1 else tuple(map(int, where))}" if a.ndim else ""
     raise error(f"{name} must be {rule}{also}, got {a[where].item()!r}{at}")
+
+
+def whole(error, name, value, low, high=math.inf) -> int:
+    """``value`` as an ``int`` if it passes :func:`numbers` and is a whole number from
+    ``low`` to ``high``; else raise ``error`` naming ``name``, the bounds and ``value``."""
+    a = numbers(error, name, value)
+    if a.ndim or not (float(a).is_integer() and low <= a <= high):
+        bounds = f"be at least {low} and whole" if high == math.inf else \
+            f"be a whole number from {low} to {high}"
+        raise error(f"{name} must {bounds}, got {value!r}")
+    return int(a)
 
 
 def frozen(value, dtype=float, ndmin=0) -> np.ndarray:
@@ -56,8 +85,9 @@ def frozen(value, dtype=float, ndmin=0) -> np.ndarray:
 
 def columns(obj, error, *names):
     """Set fields ``names`` of dataclass ``obj`` to read-only 1-D float copies of one
-    length and return them; a scalar counts as one value, and ``error`` names a bad field."""
-    arrays = [frozen(getattr(obj, name), ndmin=1) for name in names]
+    length and return them; a scalar counts as one value, and ``error`` names a field
+    that is not :func:`numbers` or not 1-D."""
+    arrays = [frozen(numbers(error, name, getattr(obj, name)), ndmin=1) for name in names]
     for name, a in zip(names, arrays):
         if a.ndim != 1:
             raise error(f"{name} must be 1-D, got shape {a.shape}")

@@ -5,9 +5,12 @@ argument of a public entry point, with a valid value and the values it must
 reject. Hypothesis draws a bad value (and, for an array, the element it
 replaces); the call must raise its module's own error naming the field. The
 same call with the valid value must succeed and return only finite numbers.
+A whole argument that is no real number (complex, None, a string, a bool or
+a ragged list) must raise that error too.
 """
 
 import dataclasses
+import inspect
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -22,21 +25,24 @@ from nvkit.confocal import (
 )
 from nvkit.dynamics import (
     CoherenceParams, DecayCurve, DecayModel, DynamicsError, EnvelopeFit, LaserInit, MwPulse,
-    PulseSequence, Readout, Wait, extract_frequencies, fit_decay_envelope, simulate_fid,
-    simulate_hahn, simulate_rabi, simulate_relaxometry,
+    PulseSequence, Readout, Wait, extract_frequencies, fit_decay_envelope, propagate_sequence,
+    simulate_fid, simulate_hahn, simulate_rabi, simulate_relaxometry,
 )
+from nvkit.fitting import FitError, levenberg_marquardt
 from nvkit.magnetometry import MagnetometryError, SensorParams, sensitivity_si
-from nvkit.noise import NoiseError, NoiseSpec
+from nvkit.noise import NoiseError, NoiseSpec, apply_noise
 from nvkit.odmr import (
-    LineShapeModel, OdmrError, OdmrSpectrum, fit_spectrum, synthesize_spectrum,
+    LineShapeModel, OdmrError, OdmrSpectrum, fit_spectrum, invert_shift_splitting,
+    synthesize_spectrum,
 )
 from nvkit.photon_stats import (
-    G2Curve, PhotonStatsError, SaturationFit, fit_g2, fit_saturation, saturation_model,
-    synthesize_g2,
+    G2Curve, PhotonStatsError, SaturationFit, fit_g2, fit_saturation, g2_model,
+    saturation_model, synthesize_g2,
 )
 from nvkit.spin_model import (
     FieldEnvironment, HamiltonianMatrix, HyperfineCoupling, NvOrientation, SpinModelError,
-    SpinSystem, eigenlevels, project_field,
+    SpinSystem, eigenlevels, project_field, resonance_frequencies_approx, spin_operators,
+    transition_lines,
 )
 
 NONFINITE = st.sampled_from([np.nan, np.inf, -np.inf])
@@ -71,6 +77,7 @@ BEATING = DecayCurve(OSC_TIMES, 0.5 + 0.4 * np.exp(-(OSC_TIMES / 2.0) ** 1.5)
 SENSOR = dict(count_rate=30e3, contrast=0.2, readout_window=0.5, t2_star=1.76, t2=494.0)
 SENSOR_SI = dict(count_rate_hz=30e3, contrast=0.2, readout_s=0.5e-6, t2_star_s=1.76e-6,
                  t2_s=494e-6)
+SEQUENCE = PulseSequence((LaserInit(), MwPulse(2870.0, 5.0, 0.0, 0.05), Readout()))
 
 
 class Case(NamedTuple):
@@ -81,6 +88,7 @@ class Case(NamedTuple):
     bad: st.SearchStrategy
     call: Callable         # builds or calls ``target`` with the value for ``arg``
     label: str = None      # how the error names ``arg``, when not by ``arg`` itself
+    spread: bool = False   # ``call`` spreads the value over several fields or values
 
 
 def fields_of(cls, error, valid, bad, make=None, labels=None):
@@ -99,11 +107,17 @@ def arguments_of(fn, error, valid, bad, *args, **fixed):
 
 
 CASES = [
+    # fitting
+    Case(levenberg_marquardt, "x0", FitError, np.array([0.5, 2.0]), NONFINITE,
+         lambda x: levenberg_marquardt(lambda p: p - 1.0, x)),
     # noise
     *fields_of(NoiseSpec, NoiseError, dict(sigma=0.01, seed=3),
-               dict(sigma=NEGATIVE, seed=st.floats() | st.integers(max_value=-1))),
+               dict(sigma=NEGATIVE,
+                    seed=st.floats() | st.integers(max_value=-1) | st.booleans())),
     *fields_of(NoiseSpec, NoiseError, dict(counts=100.0), dict(counts=NEGATIVE),
                lambda **kw: NoiseSpec("poisson", **kw)),
+    Case(apply_noise, "signal", NoiseError, np.linspace(0.0, 1.0, 8), NONFINITE,
+         lambda s: apply_noise(s, NoiseSpec(sigma=0.01, seed=1))),
     # spin_model
     *fields_of(HyperfineCoupling, SpinModelError, dict(a_parallel=-2.16, a_perp=-2.7), {},
                lambda **kw: HyperfineCoupling.nitrogen14(**kw)),
@@ -119,6 +133,11 @@ CASES = [
          NONFINITE, eigenlevels),
     Case(project_field, "b_lab", SpinModelError, np.array([0.1, 0.2, 0.3]), NONFINITE,
          project_field),
+    *arguments_of(resonance_frequencies_approx, SpinModelError,
+                  dict(d=2870.0, xi=1.0, delta=0.5), {}),
+    Case(spin_operators, "dimension", SpinModelError, 2,
+         NONFINITE | st.integers().filter(lambda n: n not in (2, 3)), spin_operators),
+    *arguments_of(transition_lines, SpinModelError, dict(merge_tol=1e-3), {}, SYSTEM, ENV),
     # odmr
     *fields_of(OdmrSpectrum, OdmrError,
                dict(freqs=GRID, signal=np.ones(GRID.size), sigma=np.full(GRID.size, 0.01)),
@@ -141,6 +160,8 @@ CASES = [
     Case(fit_spectrum, "init", OdmrError, np.array([2854.0, 2886.0]), NONFINITE,
          lambda c: fit_spectrum(SPECTRUM, 2, init=LineShapeModel(c, [0.1, 0.1], [8.0, 8.0])),
          "centers"),
+    *arguments_of(invert_shift_splitting, OdmrError,
+                  dict(v_minus=2860.0, v_plus=2880.0, d=2870.0), {}),
     # dynamics
     *fields_of(LaserInit, DynamicsError, dict(duration=1.0), dict(duration=NEGATIVE)),
     *fields_of(MwPulse, DynamicsError, dict(freq=2870.0, rabi_freq=5.0, phase=0.0,
@@ -170,6 +191,8 @@ CASES = [
                   SYSTEM, ENV, COH),
     *arguments_of(simulate_relaxometry, DynamicsError,
                   dict(times=TIMES, baseline=0.5, amplitude=0.5), dict(times=NEGATIVE), COH),
+    *arguments_of(propagate_sequence, DynamicsError, dict(readout_contrast=0.2), {},
+                  SYSTEM, ENV, SEQUENCE),
     *arguments_of(simulate_rabi, DynamicsError,
                   dict(drive_freq=2870.0, rabi_freq=5.0, durations=TIMES, readout_contrast=0.2),
                   dict(durations=NEGATIVE), SYSTEM, ENV, None),
@@ -187,7 +210,9 @@ CASES = [
                dict(c_sat=NONPOSITIVE, p_sat=NONPOSITIVE)),
     *arguments_of(synthesize_g2, PhotonStatsError, dict(taus=TAUS, params=G2_PARAMS), {}),
     Case(synthesize_g2, "params", PhotonStatsError, G2_PARAMS[2::2], NONPOSITIVE,
-         lambda t: synthesize_g2(TAUS, np.insert(G2_PARAMS[[0, 1, 3, 5]], [2, 3, 4], t))),
+         lambda t: synthesize_g2(TAUS, np.insert(G2_PARAMS[[0, 1, 3, 5]], [2, 3, 4], t)),
+         spread=True),
+    *arguments_of(g2_model, PhotonStatsError, dict(tau=TAUS, params=G2_PARAMS), {}),
     Case(fit_g2, "init", PhotonStatsError, G2_PARAMS, NONFINITE,
          lambda p: fit_g2(G2, init=p)),
     Case(saturation_model, "powers", PhotonStatsError, POWERS, NEGATIVE,
@@ -205,7 +230,10 @@ CASES = [
                dict(amplitude=NEGATIVE, fwhm=NONPOSITIVE)),
     Case(fit_gaussian_slice, "init", ConfocalError, SLICE_PARAMS, NONFINITE,
          lambda p: fit_gaussian_slice(SLICE_MAP, 0, [1], init=GaussianSliceFit(*p)),
-         "amplitude|center|fwhm|baseline"),
+         "amplitude|center|fwhm|baseline", spread=True),
+    Case(fit_gaussian_slice, "index", ConfocalError, np.array([1.0]),
+         NONFINITE | FRACTIONAL | st.integers(max_value=-1) | st.integers(min_value=5),
+         lambda i: fit_gaussian_slice(SLICE_MAP, 0, i)),
     *fields_of(PsfModel, ConfocalError, dict(w_x=0.45, w_y=0.45, w_z=2.0),
                dict(w_x=NONPOSITIVE, w_y=NONPOSITIVE, w_z=NONPOSITIVE)),
     *fields_of(DensityEstimate, ConfocalError, dict(number_density=1.0, ppb=5.7),
@@ -226,12 +254,21 @@ IDS = [f"{case.target.__name__}-{case.arg}" for case in CASES]
 
 # result records that hold computed values and carry no invariant to check
 RECORDS = {"FitResult", "G2FitResult", "OdmrFitResult", "SensitivityReport", "SpinOperators"}
+# exported functions that take no numeric argument: records, a path, or nothing
+NO_NUMBERS = {"build_hamiltonian", "gaussian_uniform_ratio", "load_curve", "load_g2", "load_map",
+              "load_saturation", "load_spectrum", "nv_orientations", "save_curve", "save_g2",
+              "save_map", "save_spectrum", "sensitivity"}
 
 
 def test_every_public_dataclass_is_driven():
+    """Every public dataclass and every exported function with a numeric argument has a case."""
+    driven = {case.target.__name__ for case in CASES}
     public = {name for name in nvkit.__all__ if dataclasses.is_dataclass(getattr(nvkit, name))}
-    assert public - RECORDS <= {case.target.__name__ for case in CASES}
+    assert public - RECORDS <= driven
     assert RECORDS <= public
+    functions = {name for name in nvkit.__all__ if inspect.isfunction(getattr(nvkit, name))}
+    assert functions - NO_NUMBERS <= driven
+    assert NO_NUMBERS <= functions
 
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)
@@ -246,6 +283,29 @@ def test_bad_input_raises_typed_error_naming_it(case, data):
         arg = value
     with pytest.raises(case.error, match=case.label or case.arg):
         case.call(arg)
+
+
+NON_REAL = ("complex", "None", "str", "bool", "ragged")
+# non-real values that mean something: None asks for a default, and a Hamiltonian is complex
+MEANINGFUL = {("fit_g2", "init", "None"), ("synthesize_spectrum", "fwhm", "None"),
+              ("HamiltonianMatrix", "entries", "complex"), ("eigenlevels", "entries", "complex")}
+WHOLE = [(case, kind) for case in CASES if not case.spread for kind in NON_REAL
+         if (case.target.__name__, case.arg, kind) not in MEANINGFUL]
+
+
+def _non_real(valid, kind):
+    """A whole argument of ``kind`` in place of ``valid``; complex is ``valid + 1j``."""
+    if kind == "ragged":
+        return [valid.tolist() if isinstance(valid, np.ndarray) else valid, [[1.0]]]
+    return {"complex": lambda: valid + 1j, "None": lambda: None, "str": lambda: "a string",
+            "bool": lambda: True}[kind]()
+
+
+@pytest.mark.parametrize("case, kind", WHOLE,
+                         ids=[f"{case.target.__name__}-{case.arg}-{kind}" for case, kind in WHOLE])
+def test_non_real_argument_raises_typed_error_naming_it(case, kind):
+    with pytest.raises(case.error, match=case.label or case.arg):
+        case.call(_non_real(case.valid, kind))
 
 
 def _assert_finite(result):

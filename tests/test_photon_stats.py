@@ -80,11 +80,18 @@ def test_fit_noiseless_from_truth_is_exact():
     (REF_PARAMS[:6], r"init must hold 7 values, got shape \(6,\)"),
     (np.append(REF_PARAMS[:6], np.nan), "init must be finite"),
     (np.append(REF_PARAMS[:6], np.inf), "init must be finite"),
-], ids=["six values", "nan", "inf"])
+    ([0.0, 0.8, 10.0], r"init must hold 7 values, got shape \(3,\)"),
+    (REF_PARAMS[:, None], r"init must hold 7 values, got shape \(7, 1\)"),
+], ids=["six values", "nan", "inf", "three values", "seven rows of one"])
 def test_fit_g2_rejects_an_init_other_than_seven_finite_values(init, message):
-    curve = synthesize_g2(np.linspace(-50.0, 50.0, 32), REF_PARAMS)
+    """fit_g2's init, and the params of synthesize_g2 and g2_model, alike."""
+    taus = np.linspace(-50.0, 50.0, 32)
+    curve = synthesize_g2(taus, REF_PARAMS)
     with pytest.raises(PhotonStatsError, match=message):
         fit_g2(curve, init=init)
+    for model in (synthesize_g2, g2_model):
+        with pytest.raises(PhotonStatsError, match="params" + message[len("init"):]):
+            model(taus, init)
 
 
 def test_fit_roundtrip_with_noise():

@@ -104,3 +104,85 @@ def test_parse_rows_matches_the_float_loop(table):
     else:
         assert isinstance(got, np.ndarray) and got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes() and got.shape == expected.shape
+
+
+# integers, float32, nested lists and 0-d arrays, each as numpy would cast it to float
+CASTS = {
+    "int": 3, "numpy int": np.int64(-2), "int array": np.arange(4),
+    "int8 array": np.arange(-3, 3, dtype=np.int8), "uint array": np.arange(4, dtype=np.uint16),
+    "float32": np.float32(0.1), "float32 array": np.linspace(0.0, 1.0, 5, dtype=np.float32),
+    "list": [1, 2.5, -3], "nested list": [[1, 2], [3.25, 4]], "0-d float": np.array(2.5),
+    "0-d int": np.array(7), "float16 array": np.array([0.1, 65504.0], dtype=np.float16),
+}
+
+
+@pytest.mark.parametrize("value", CASTS.values(), ids=CASTS.keys())
+def test_require_returns_the_float_array_numpy_casts_bit_for_bit(value):
+    got = tables.require(_TableError, "x", value)
+    expected = np.asarray(value, dtype=float)
+    assert isinstance(got, np.ndarray) and got.dtype == expected.dtype
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def test_require_returns_a_float_as_the_same_object():
+    for value in (2.5, -0.0, 1e300, np.float64(-1.0)):
+        assert tables.require(_TableError, "x", value) is value
+
+
+NOT_REAL = {
+    "bool": (True, "x must be real, got True"),
+    "bool array": (np.array([True, False]), "x must be real, got an array of bool"),
+    "complex": (1 + 1j, r"x must be real, got \(1\+1j\)"),
+    "complex array": (np.array([1.0, 2.0], dtype=complex),
+                      "x must be real, got an array of complex128"),
+    "string": ("2", "x must be real, got '2'"),
+    "None": (None, "x must be real, got None"),
+    "object": (object(), "x must be real, got <object object"),
+    "list with None": ([1.0, None], "x must be real, got an array of object"),
+    "ragged": ([1.0, [2.0, 3.0]], "x must be real, got a ragged sequence"),
+}
+
+
+@pytest.mark.parametrize("value, message", NOT_REAL.values(), ids=NOT_REAL.keys())
+def test_require_refuses_what_is_not_real_before_its_finite_check(value, message):
+    with pytest.raises(_TableError, match=message):
+        tables.require(_TableError, "x", value, "finite and positive")
+    with pytest.raises(_TableError, match=message):
+        tables.numbers(_TableError, "x", value)
+
+
+def test_numbers_takes_complex_only_when_asked():
+    value = np.array([[1.0, 1j], [-1j, 2.0]])
+    assert tables.numbers(_TableError, "h", value, complex) is value
+    assert tables.require(_TableError, "h", value, dtype=complex) is value
+    with pytest.raises(_TableError, match="h must be numeric, got 'ab'"):
+        tables.numbers(_TableError, "h", "ab", complex)
+
+
+@pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.float32(3.0), np.array(3)])
+def test_whole_returns_an_int(value):
+    got = tables.whole(_TableError, "n", value, 1, 5)
+    assert got == 3 and type(got) is int
+
+
+@pytest.mark.parametrize("value, message", [
+    (2.5, "n must be a whole number from 1 to 5, got 2.5"),
+    (np.nan, "n must be a whole number from 1 to 5, got nan"),
+    (np.inf, "n must be a whole number from 1 to 5, got inf"),
+    (0, "n must be a whole number from 1 to 5, got 0"),
+    (6.0, "n must be a whole number from 1 to 5, got 6.0"),
+    ([2], r"n must be a whole number from 1 to 5, got \[2\]"),
+    (True, "n must be real, got True"),
+    ("2", "n must be real, got '2'"),
+    (None, "n must be real, got None"),
+    (2 + 0j, r"n must be real, got \(2\+0j\)"),
+], ids=["fraction", "nan", "inf", "below", "above", "list", "bool", "string", "None", "complex"])
+def test_whole_refuses_what_is_not_a_whole_number_in_bounds(value, message):
+    with pytest.raises(_TableError, match=f"^{message}$"):
+        tables.whole(_TableError, "n", value, 1, 5)
+
+
+def test_whole_without_an_upper_bound():
+    assert tables.whole(_TableError, "n", 10**6, 1) == 10**6
+    with pytest.raises(_TableError, match="^n must be at least 1 and whole, got 0.5$"):
+        tables.whole(_TableError, "n", 0.5, 1)
