@@ -42,9 +42,6 @@ from .constants import D_ZFS_MHZ
 from .tables import MIN_POINTS, require
 
 DEFAULT_PSF = (0.45, 0.45, 2.0)
-# seq-sim --kind rabi drives, by default, the lowest line that carries at least
-# this share of the strongest line's weight
-DRIVE_WEIGHT_FLOOR = 0.01
 # the values of dynamics.DecayModel, listed here so that building the parser
 # imports no science module
 DECAY_MODELS = ("stretched", "single_exp", "stretched_osc")
@@ -215,12 +212,10 @@ def cmd_seq_sim(args):
     times = np.linspace(args.tmin, args.tmax, _points(args))
     spec = _noise_spec(args)
     if args.kind == "rabi":
-        if args.drive_freq is None:
+        drive = args.drive_freq
+        if drive is None:
             lines = spin_model.transition_lines(system, env, merge_tol=0.01)
-            floor = DRIVE_WEIGHT_FLOOR * max((w for _, w in lines), default=0.0)
-            drive = next((f for f, w in lines if w >= floor), system.d_zfs)
-        else:
-            drive = args.drive_freq
+            drive = lines[0][0] if lines else system.d_zfs
         curve = dynamics.simulate_rabi(system, env, coh, drive,
                                        args.rabi_freq, times, noise=spec)
     elif args.kind == "fid":
@@ -434,8 +429,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--tmax", type=float, default=10.0, help="last time (us)")
     p.add_argument("--points", type=int, default=201)
     p.add_argument("--drive-freq", type=float, default=None,
-                   help="rabi: drive frequency (MHz); default the lowest line with at "
-                        f"least {DRIVE_WEIGHT_FLOOR * 100:g}%% of the strongest line's weight")
+                   help="rabi: drive frequency (MHz); default the lowest transition line")
     p.add_argument("--rabi-freq", type=float, default=5.7,
                    help="rabi: drive strength (MHz)")
     p.add_argument("--detuning", type=float, default=0.0,

@@ -132,11 +132,10 @@ def gaussian_profile(x, amplitude, center, fwhm, baseline):
 def extract_slice(plmap: PLMap, axis: int, index):
     """1D slice along ``axis`` at fixed indices of the remaining axes.
 
-    Each fixed index must be a whole number inside its axis; a negative
-    index does not count from the end.
+    ``axis`` and each fixed index must be whole numbers inside the map; a
+    negative index does not count from the end.
     """
-    if not 0 <= axis < plmap.ndim:
-        raise ConfocalError(f"axis {axis} out of range for a {plmap.ndim}D map")
+    axis = whole(ConfocalError, "axis", axis, 0, plmap.ndim - 1)
     index = np.atleast_1d(numbers(ConfocalError, "index", index)).tolist()
     if len(index) != plmap.ndim - 1:
         raise ConfocalError("index must fix all axes except the sliced one")

@@ -12,8 +12,10 @@ segment, as in an echo or XY8 train, only applies them.
 
 Decoherence is phenomenological: envelopes multiply coherences. The
 closed-form trace models (FID, Hahn echo, relaxometry) carry stretched
-exponents; the sequence propagator damps coherences segment by segment with
-plain exponentials.
+exponents. The sequence propagator and the Rabi sweep share one rule: in the
+eigenbasis of each segment, coherences decay with plain exponentials
+(t_rho_rabi while driven, t2_star while free) and populations relax towards
+the mixed state with t1.
 """
 
 from __future__ import annotations
@@ -310,8 +312,9 @@ def simulate_rabi(
     """ms=0 readout signal versus resonant drive duration.
 
     Builds the rotating frame and the drive's eigensystem once (two
-    eigensolves) and contracts all durations in one matrix product; the
-    optional Rabi dephasing envelope multiplies the oscillating part.
+    eigensolves) and contracts all durations in one matrix product. With
+    ``coh``, each point decays as one pulse of :func:`propagate_sequence`
+    does, so it does not depend on the other durations of the grid.
     """
     for name, value in (("drive_freq", drive_freq), ("rabi_freq", rabi_freq),
                         ("readout_contrast", readout_contrast)):
@@ -328,9 +331,12 @@ def simulate_rabi(
     pops = ((phases @ (rho_e * p0_e.T)) * phases.conj()).sum(1).real
 
     if coh is not None:
-        mean = np.mean(pops)
-        envelope = np.exp(-durations / coh.t_rho_rabi)
-        pops = mean + (pops - mean) * envelope
+        # as in propagate_sequence: the coherences' share pops - s decays with t_rho_rabi,
+        # and the populations' share s relaxes with T1 to that of the mixed state, m
+        s = (rho_e.diagonal() * p0_e.diagonal()).sum().real
+        m = np.trace(p0_e).real / len(evals)
+        pops = ((pops - s) * np.exp(-durations / coh.t_rho_rabi) + m
+                + (s - m) * np.exp(-durations / (coh.t1 * 1000.0)))
     signal, sigma = apply_noise(1.0 - readout_contrast * (1.0 - pops), noise)
     return DecayCurve(times=durations, signal=signal, sigma=sigma, kind="rabi")
 

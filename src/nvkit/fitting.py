@@ -105,18 +105,25 @@ def pinned(params, bounds, names) -> str:
 
 
 def levenberg_marquardt(residuals, x0, bounds=None, jac=None) -> FitResult:
-    """Minimize ``sum(residuals(x)**2)`` starting from the finite ``x0``.
+    """Minimize ``sum(residuals(x)**2)`` starting from the finite 1-D ``x0``.
 
     residuals: callable returning the weighted residual vector.
-    bounds: optional sequence of (lo, hi) per parameter; trial points are
-        projected into the box. None means unbounded, (-inf, inf) for each.
+    bounds: optional sequence of one (lo, hi) pair per parameter; trial
+        points are projected into the box. None means unbounded, (-inf, inf)
+        for each.
     jac: optional callable returning the residual Jacobian; central
         differences are used when absent.
     """
     x0 = require(FitError, "x0", x0)
+    if np.ndim(x0) != 1 or not len(x0):
+        raise FitError(f"x0 must be a 1-D array of at least one value, got shape {np.shape(x0)}")
     if bounds is None:
         bounds = [(-np.inf, np.inf)] * len(x0)
-    lo, hi = numbers(FitError, "bounds", bounds).T  # clipping to an infinite bound changes nothing
+    box = numbers(FitError, "bounds", bounds)
+    if box.shape != (len(x0), 2):
+        raise FitError(f"bounds must hold one (lo, hi) pair for each of the {len(x0)} "
+                       f"parameters, got shape {box.shape}")
+    lo, hi = box.T  # clipping to an infinite bound changes nothing
     x = np.clip(x0, lo, hi)
     r = np.asarray(residuals(x), dtype=float)
     if not np.isfinite(r).all():

@@ -35,6 +35,7 @@ from .constants import (
 from .tables import frozen, numbers, require
 
 MAX_DIMENSION = 18
+LINE_WEIGHT_FLOOR = 0.01  # a line's least strength, as a share of the strongest pair's
 _SQRT_HALF = 1.0 / np.sqrt(2.0)  # the entries of the S=1 Sx and Sy
 
 
@@ -326,9 +327,10 @@ def unmerged_lines(system: SpinSystem, env: FieldEnvironment):
     """Every drivable transition as unmerged ``(freqs, strengths)`` arrays.
 
     Strengths are the unnormalized weights of :func:`transition_lines`, read
-    from the :func:`eigenbasis` observables; pairs of strength 1e-9 or less
-    are dropped. :func:`merge_lines` merges them at any tolerance, so one
-    eigensolve serves several tolerances.
+    from the :func:`eigenbasis` observables. This is the one rule for what a
+    line is: a level pair whose strength exceeds 1e-9 and is at least
+    :data:`LINE_WEIGHT_FLOOR` of the strongest pair's. :func:`merge_lines`
+    merges them at any tolerance, so one eigensolve serves several tolerances.
     """
     evals, (_, sx, sy, p0) = eigenbasis(system, env)
     pops = np.diag(p0).real / max(np.trace(p0).real, 1e-300)
@@ -336,7 +338,7 @@ def unmerged_lines(system: SpinSystem, env: FieldEnvironment):
     i, j = _pair_indices(len(evals))
     freqs = evals[j] - evals[i]
     strengths = (np.abs(sx[i, j]) ** 2 + np.abs(sy[i, j]) ** 2) * np.abs(pops[i] - pops[j])
-    keep = strengths > 1e-9
+    keep = (strengths > 1e-9) & (strengths >= LINE_WEIGHT_FLOOR * strengths.max())
     return freqs[keep], strengths[keep]
 
 
@@ -369,8 +371,9 @@ def transition_lines(system: SpinSystem, env: FieldEnvironment, merge_tol: float
 
     Weights combine the initial ms=0 population prepared by optical pumping
     with the polarization-averaged magnetic drive strength |Sx_ij|^2 +
-    |Sy_ij|^2; they are normalized to sum to 1. Lines closer than
-    ``merge_tol`` (MHz) are merged; it must be finite.
+    |Sy_ij|^2; they are normalized to sum to 1. The lines are the pairs that
+    :func:`unmerged_lines` keeps. Lines closer than ``merge_tol`` (MHz) are
+    merged; it must be finite.
     """
     require(SpinModelError, "merge_tol", merge_tol)
     return merge_lines(*unmerged_lines(system, env), merge_tol)

@@ -231,6 +231,9 @@ CASES = [
     Case(fit_gaussian_slice, "init", ConfocalError, SLICE_PARAMS, NONFINITE,
          lambda p: fit_gaussian_slice(SLICE_MAP, 0, [1], init=GaussianSliceFit(*p)),
          "amplitude|center|fwhm|baseline", spread=True),
+    Case(fit_gaussian_slice, "axis", ConfocalError, 0,
+         NONFINITE | FRACTIONAL | st.integers(max_value=-1) | st.integers(min_value=2),
+         lambda a: fit_gaussian_slice(SLICE_MAP, a, [1])),
     Case(fit_gaussian_slice, "index", ConfocalError, np.array([1.0]),
          NONFINITE | FRACTIONAL | st.integers(max_value=-1) | st.integers(min_value=5),
          lambda i: fit_gaussian_slice(SLICE_MAP, 0, i)),
@@ -306,6 +309,20 @@ def _non_real(valid, kind):
 def test_non_real_argument_raises_typed_error_naming_it(case, kind):
     with pytest.raises(case.error, match=case.label or case.arg):
         case.call(_non_real(case.valid, kind))
+
+
+# the solver's start and box in a shape other than one value and one (lo, hi) pair per parameter
+MISSHAPEN = [("x0", dict(x0=0.5)), ("x0", dict(x0=[[0.5, 2.0]])), ("x0", dict(x0=[])),
+             ("bounds", dict(bounds=[(0.0, 1.0)])), ("bounds", dict(bounds=[(0.0, 1.0)] * 3)),
+             ("bounds", dict(bounds=[0.0, 1.0, 0.0, 1.0])),
+             ("bounds", dict(bounds=[(0.0, 1.0, 2.0)] * 2))]
+
+
+@pytest.mark.parametrize("arg, kwargs", MISSHAPEN,
+                         ids=[f"{arg}-{k}" for k, (arg, _) in enumerate(MISSHAPEN)])
+def test_misshapen_solver_argument_raises_fit_error_naming_it(arg, kwargs):
+    with pytest.raises(FitError, match=arg):
+        levenberg_marquardt(lambda p: p - 1.0, **{"x0": np.array([0.5, 2.0]), **kwargs})
 
 
 def _assert_finite(result):

@@ -586,7 +586,7 @@ def _rabi_drive(monkeypatch, argv):
     (["--b", "0,0,4.6"], 2801.383),
 ])
 def test_rabi_default_drive_off_axis_is_a_line_with_weight(monkeypatch, argv, drive):
-    # the lowest line here is the ms=-1 <-> +1 pair near 145 MHz, at about 1e-8 weight
+    # the ms=-1 <-> +1 pair near 145 MHz, at about 1e-8 weight, is below the line floor
     assert _rabi_drive(monkeypatch, argv) == pytest.approx(drive, abs=1e-3)
 
 
@@ -596,6 +596,17 @@ def test_rabi_default_drive_off_axis_is_a_line_with_weight(monkeypatch, argv, dr
     ["--nuclei", "n14,c13", "--b", "4.809329,4.809329,4.809329"],
 ])
 def test_rabi_default_drive_on_axis_is_the_lowest_line(monkeypatch, argv):
+    from nvkit import cli, spin_model
+    args = cli.build_parser()[0].parse_args(["seq-sim", "--kind", "rabi", *argv])
+    lowest = spin_model.transition_lines(*cli._spin_inputs(args), merge_tol=0.01)[0][0]
+    assert _rabi_drive(monkeypatch, argv) == lowest
+
+
+@pytest.mark.parametrize("argv", [
+    ["--b", "0,0,4.6"], ["--nuclei", "n14", "--b", "0,0,4.6"], ["--b", "1,2,3", "--xi", "2"],
+    ["--nuclei", "n14,c13", "--b=-20,5,12", "--delta", "3"],
+])
+def test_rabi_default_drive_is_the_lowest_transition_line(monkeypatch, argv):
     from nvkit import cli, spin_model
     args = cli.build_parser()[0].parse_args(["seq-sim", "--kind", "rabi", *argv])
     lowest = spin_model.transition_lines(*cli._spin_inputs(args), merge_tol=0.01)[0][0]

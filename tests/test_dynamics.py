@@ -267,16 +267,28 @@ def test_rabi_noise_draws_what_apply_noise_draws_on_the_clean_trace():
     np.testing.assert_array_equal(clean.sigma, np.ones(times.size))
 
 
-def test_rabi_sweep_matches_single_pulse_sequences():
+@pytest.mark.parametrize("coh", [None, COH], ids=["unitary", "decoherent"])
+def test_rabi_sweep_matches_single_pulse_sequences(coh):
     system = SpinSystem(nuclei=(HyperfineCoupling.nitrogen14(),))
     env = FieldEnvironment(b_lab=4.6 * AXIS_111)
     f_drive = transition_lines(system, env)[0][0]
     times = np.array([0.0, 0.13, 0.5, 0.9, 1.7, 2.2, 3.1, 4.0])
-    curve = simulate_rabi(system, env, None, f_drive, 3.0, times, readout_contrast=1.0)
+    curve = simulate_rabi(system, env, coh, f_drive, 3.0, times, readout_contrast=1.0)
     for t, signal in zip(times, curve.signal):
         seq = PulseSequence((LaserInit(1.0), MwPulse(f_drive, 3.0, 0.0, t), Readout(0.5)))
-        assert signal == pytest.approx(propagate_sequence(system, env, seq).population,
+        assert signal == pytest.approx(propagate_sequence(system, env, seq, coh).population,
                                        abs=1e-12)
+
+
+def test_rabi_sample_does_not_depend_on_the_grid():
+    system = SpinSystem(nuclei=(HyperfineCoupling.nitrogen14(),))
+    env = FieldEnvironment(b_lab=4.6 * AXIS_111)
+    f_drive = transition_lines(system, env)[0][0]
+    samples = [simulate_rabi(system, env, COH, f_drive, 5.7, grid).signal[index]
+               for grid, index in ((np.linspace(0.0, 2.0, 201), 200),
+                                   (np.linspace(0.0, 10.0, 1001), 200),
+                                   (np.linspace(0.0, 2.0, 9), 8))]
+    assert np.ptp(samples) < 1e-15
 
 
 def ramsey(f_drive, tau, rabi=5.0):
@@ -445,14 +457,15 @@ def test_xy8_builds_each_distinct_segment_once_and_matches_reference(monkeypatch
     assert np.max(np.abs(rho - rho_ref)) < 1e-12
 
 
+@pytest.mark.parametrize("coh", [None, COH], ids=["unitary", "decoherent"])
 @pytest.mark.parametrize("dim", [3, 9, 18])
-def test_rabi_sweep_matches_per_segment_reference(dim):
+def test_rabi_sweep_matches_per_segment_reference(dim, coh):
     system, env, drive = spin_case(dim)
     times = np.array([0.0, 0.013, 0.05, 0.11, 0.29, 0.6, 1.37, 2.2])
-    curve = simulate_rabi(system, env, None, drive, 8.0, times, readout_contrast=1.0)
+    curve = simulate_rabi(system, env, coh, drive, 8.0, times, readout_contrast=1.0)
     for t, signal in zip(times, curve.signal):
         seq = PulseSequence((LaserInit(1.0), MwPulse(drive, 8.0, 0.0, t), Readout(0.5)))
-        assert abs(signal - per_segment_propagate(system, env, seq, None)[0]) < 1e-12
+        assert abs(signal - per_segment_propagate(system, env, seq, coh)[0]) < 1e-12
 
 
 def test_rabi_sweep_diagonalizes_frame_then_drive(monkeypatch):
@@ -798,6 +811,15 @@ def test_beat_residuals_equal_the_per_component_loops_bit_for_bit(monkeypatch):
         osc = osc + ck * np.cos(2 * np.pi * fk * times) + sk * np.sin(2 * np.pi * fk * times)
     env = np.exp(-np.power(np.clip(times / p[1], 0.0, 50.0), p[2]))
     assert np.array_equal(envelope_fit(p), (p[0] + env * osc - signal) * sigma_weights(curve.sigma))
+
+
+def test_off_axis_fid_holds_no_weightless_far_beat():
+    # 14N at `--b 0,0,4.6`: the ms=-1 <-> +1 pairs near -2650 MHz carried 3e-8 weight
+    system = SpinSystem(nuclei=(HyperfineCoupling.nitrogen14(),))
+    env = FieldEnvironment(b_lab=np.array([0.0, 0.0, 4.6]))
+    beats = dynamics.fid_detunings(system, env, 0.0)
+    assert max(abs(delta) for delta, _ in beats) < 100.0
+    assert min(weight for _, weight in beats) > 1e-3
 
 
 def test_fid_beats_equal_the_per_component_loop_bit_for_bit():

@@ -204,16 +204,22 @@ def test_n14_hyperfine_three_lines():
     assert np.allclose(np.diff(freqs), 2.16, atol=0.02)
 
 
-def _reference_transition_lines(system, env, merge_tol):
-    """transition_lines as one function, with both filters applied together."""
+def _every_pair(system, env):
+    """(freqs, strengths) of every level pair i < j, with no floor applied."""
     observables = spin_model._operators(system).observables  # Sz^2, Sx, Sy, P0
     evals, evecs = eigenlevels(build_hamiltonian(system, env))
     sx, sy, p0 = (evecs.conj().T @ op @ evecs for op in observables[1:])
     pops = np.diag(p0).real / max(np.trace(p0).real, 1e-300)
     i, j = np.triu_indices(len(evals), k=1)
-    freqs = evals[j] - evals[i]
     strengths = (np.abs(sx[i, j]) ** 2 + np.abs(sy[i, j]) ** 2) * np.abs(pops[i] - pops[j])
-    keep = (strengths > 1e-9) & (freqs > merge_tol)
+    return evals[j] - evals[i], strengths
+
+
+def _reference_transition_lines(system, env, merge_tol):
+    """transition_lines as one function, with all three filters applied together."""
+    freqs, strengths = _every_pair(system, env)
+    keep = ((strengths > 1e-9) & (strengths >= 0.01 * strengths.max())
+            & (freqs > merge_tol))
     freqs, strengths = freqs[keep], strengths[keep]
     order = np.lexsort((strengths, freqs))
     merged = []
@@ -241,6 +247,25 @@ def test_one_unmerged_solve_serves_every_merge_tolerance(nuclei):
             expected = _reference_transition_lines(system, env, tol)
             assert spin_model.merge_lines(freqs, strengths, tol) == expected
             assert transition_lines(system, env, tol) == expected
+
+
+@pytest.mark.parametrize("nuclei", [(), (HyperfineCoupling.nitrogen14(),),
+                                    (HyperfineCoupling.nitrogen14(),
+                                     HyperfineCoupling.carbon13())])
+def test_every_kept_pair_carries_the_floor_share_of_the_strongest(nuclei):
+    rng = np.random.default_rng(30)
+    for orientation in nv_orientations() * 25:
+        system = SpinSystem(nuclei=nuclei, orientation=orientation)
+        env = FieldEnvironment(b_lab=rng.uniform(-30.0, 30.0, 3) * rng.uniform(0, 1),
+                               shift_xi=rng.uniform(-5, 5), splitting_delta=rng.uniform(0, 5))
+        freqs, strengths = spin_model.unmerged_lines(system, env)
+        every_freq, every_strength = _every_pair(system, env)
+        strongest = every_strength.max()
+        assert strengths.max() == strongest
+        assert (strengths >= spin_model.LINE_WEIGHT_FLOOR * strongest).all()
+        # a pair is dropped only below the floor, and every pair above it is kept
+        above = every_strength >= spin_model.LINE_WEIGHT_FLOOR * strongest
+        np.testing.assert_array_equal(freqs, every_freq[above & (every_strength > 1e-9)])
 
 
 def test_eigenbasis_is_one_build_and_one_eigensolve(monkeypatch):
