@@ -16,7 +16,7 @@ import numpy as np
 
 from .constants import CARBON_DENSITY_PER_CM3
 from .fitting import FitError, FitResult, levenberg_marquardt, pinned
-from .tables import frozen, numbers, parse_header, parse_rows, require, whole, write_table
+from .tables import frozen, numbers, parse_header, parse_rows, require, scalar, whole, write_table
 
 GAUSS_INTEGRAL_PER_FWHM = float(np.sqrt(np.pi / (4.0 * np.log(2.0))))
 _AXIS_NAMES = ("x", "y", "z")
@@ -55,7 +55,7 @@ class PLMap:
         if counts.shape != tuple(len(a) for a in axes):
             raise ConfocalError("counts shape does not match axis lengths")
         require(ConfocalError, "counts", counts, "finite and nonnegative")
-        require(ConfocalError, "power", self.power, "finite and positive")
+        scalar(ConfocalError, "power", self.power, "finite and positive")
         if 0 in counts.shape:  # save_map would write a file that load_map refuses
             raise ConfocalError(f"axis {_AXIS_NAMES[counts.shape.index(0)]} must hold a value")
 
@@ -75,10 +75,10 @@ class GaussianSliceFit:
     report: FitResult | None = None  # params in field order; None when built by hand
 
     def __post_init__(self):
-        require(ConfocalError, "amplitude", self.amplitude, "finite and nonnegative")
-        require(ConfocalError, "center", self.center)
-        require(ConfocalError, "fwhm", self.fwhm, "finite and positive")
-        require(ConfocalError, "baseline", self.baseline)
+        scalar(ConfocalError, "amplitude", self.amplitude, "finite and nonnegative")
+        scalar(ConfocalError, "center", self.center)
+        scalar(ConfocalError, "fwhm", self.fwhm, "finite and positive")
+        scalar(ConfocalError, "baseline", self.baseline)
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class PsfModel:
 
     def __post_init__(self):
         for name in ("w_x", "w_y", "w_z"):
-            require(ConfocalError, f"PSF {name}", getattr(self, name), "finite and positive")
+            scalar(ConfocalError, f"PSF {name}", getattr(self, name), "finite and positive")
 
 
 class DensityMethod(Enum):
@@ -108,8 +108,8 @@ class DensityEstimate:
     method: DensityMethod
 
     def __post_init__(self):
-        require(ConfocalError, "number_density", self.number_density, "finite and nonnegative")
-        require(ConfocalError, "ppb", self.ppb, "finite and nonnegative")
+        scalar(ConfocalError, "number_density", self.number_density, "finite and nonnegative")
+        scalar(ConfocalError, "ppb", self.ppb, "finite and nonnegative")
 
 
 def number_density_to_ppb(per_um3: float) -> float:
@@ -186,8 +186,8 @@ def estimate_density(c_ensemble: float, c_single: float, psf: PsfModel,
 
     Both rates must be taken below saturation (caller's responsibility).
     """
-    require(ConfocalError, "c_ensemble", c_ensemble, "finite and nonnegative")
-    require(ConfocalError, "c_single", c_single, "finite and positive")
+    scalar(ConfocalError, "c_ensemble", c_ensemble, "finite and nonnegative")
+    scalar(ConfocalError, "c_single", c_single, "finite and positive")
     ratio = c_ensemble / c_single
     if method is DensityMethod.GAUSSIAN:
         volume = (psf.w_x * psf.w_y * psf.w_z) * GAUSS_INTEGRAL_PER_FWHM ** 3
@@ -207,8 +207,8 @@ def gaussian_uniform_ratio() -> float:
 
 def enhancement_ratio(region_a: float, region_b: float) -> float:
     """PL (or density) enhancement of region A over region B."""
-    require(ConfocalError, "region_a", region_a, "finite and nonnegative")
-    require(ConfocalError, "region_b", region_b, "finite and positive")
+    scalar(ConfocalError, "region_a", region_a, "finite and nonnegative")
+    scalar(ConfocalError, "region_b", region_b, "finite and positive")
     return region_a / region_b
 
 

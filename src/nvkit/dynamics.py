@@ -24,11 +24,12 @@ from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fitting import FitError, FitResult, levenberg_marquardt, median, pinned, sigma_weights
 from .noise import NoiseSpec, apply_noise
 from .spin_model import FieldEnvironment, SpinSystem, eigenbasis, eigenlevels, transition_lines
-from .tables import MIN_POINTS, columns, numbers, read_table, require, whole, write_table
+from .tables import MIN_POINTS, columns, read_table, require, scalar, whole, write_table
 
 READOUT_CONTRAST_SINGLE = 0.2
 
@@ -45,7 +46,7 @@ def _check_fields(obj, rule="finite") -> None:
     kind = type(obj).__name__
     for f in fields(obj):
         field_rule = "finite and nonnegative" if f.name in ("duration", "window") else rule
-        require(DynamicsError, f"{kind} {f.name}", getattr(obj, f.name), field_rule)
+        scalar(DynamicsError, f"{kind} {f.name}", getattr(obj, f.name), field_rule)
 
 
 class _Element:
@@ -111,7 +112,7 @@ class PulseSequence:
         readouts = [e for e in elements if isinstance(e, Readout)]
         if len(readouts) != 1 or not isinstance(elements[-1], Readout):
             raise DynamicsError("sequence must end with exactly one Readout")
-        require(DynamicsError, "readout window", readouts[0].window, "finite and positive")
+        scalar(DynamicsError, "readout window", readouts[0].window, "finite and positive")
         freqs = {e.freq for e in elements if isinstance(e, MwPulse)}
         if len(freqs) > 1:
             raise DynamicsError("all MwPulse elements must share one frequency")
@@ -171,9 +172,9 @@ class EnvelopeFit:
 
     report.params holds (baseline, amplitude, t_coh, n_stretch); SINGLE_EXP
     fixes n_stretch = 1 and fits only the first three. STRETCHED_TIMES_OSC
-    fixes amplitude = 1, as its quadratures already carry the beat amplitudes,
-    and report.params holds (baseline, t_coh, n_stretch) and then one
-    (cos, sin) quadrature pair per frequency.
+    fixes amplitude = 1, as its quadratures carry the beat amplitudes, and
+    report.params holds (baseline, t_coh, n_stretch) and then (f, cos, sin)
+    per beat, with each f in ``frequencies``.
     """
 
     t_coh: float
@@ -184,8 +185,8 @@ class EnvelopeFit:
     report: FitResult | None = None
 
     def __post_init__(self):
-        require(DynamicsError, "t_coh", self.t_coh, "finite and positive")
-        if not (0.3 < numbers(DynamicsError, "n_stretch", self.n_stretch) < 4.0):
+        scalar(DynamicsError, "t_coh", self.t_coh, "finite and positive")
+        if not (0.3 < scalar(DynamicsError, "n_stretch", self.n_stretch) < 4.0):
             raise DynamicsError(f"n_stretch must lie in (0.3, 4), got {self.n_stretch!r}")
 
 
@@ -267,7 +268,7 @@ def propagate_sequence(
     distinct (rabi_freq, phase) eigensystem and each distinct segment's
     factors once; a repeated segment only applies them.
     """
-    require(DynamicsError, "readout_contrast", readout_contrast)
+    scalar(DynamicsError, "readout_contrast", readout_contrast)
     frame = _RotatingFrame(system, env, seq.drive_freq)
     # the sequence has one drive frequency, so (rabi_freq, phase) fixes each
     # pulse Hamiltonian; drive None is free evolution, diagonal in the frame basis
@@ -318,7 +319,7 @@ def simulate_rabi(
     """
     for name, value in (("drive_freq", drive_freq), ("rabi_freq", rabi_freq),
                         ("readout_contrast", readout_contrast)):
-        require(DynamicsError, name, value)
+        scalar(DynamicsError, name, value)
     durations = require(DynamicsError, "durations", durations, "finite and nonnegative")
     if np.size(durations) == 0:
         raise DynamicsError("empty duration grid")
@@ -368,9 +369,9 @@ def _closed_form_trace(kind, t_coh, times, baseline, amplitude, stretch, noise,
                        shape=lambda t: 1.0):
     """The ``kind`` curve baseline + amplitude*exp(-(t/t_coh)^stretch)*shape(t), with ``noise``;
     ``shape`` runs only after baseline, amplitude, stretch and times pass their checks."""
-    require(DynamicsError, "baseline", baseline)
-    require(DynamicsError, "amplitude", amplitude)
-    require(DynamicsError, "stretch", stretch, "finite and positive")
+    scalar(DynamicsError, "baseline", baseline)
+    scalar(DynamicsError, "amplitude", amplitude)
+    scalar(DynamicsError, "stretch", stretch, "finite and positive")
     times = require(DynamicsError, "times", times, "finite and nonnegative")
     clean = baseline + amplitude * np.exp(-np.power(times / t_coh, stretch)) * shape(times)
     return DecayCurve(times, *apply_noise(clean, noise), kind)
@@ -388,7 +389,7 @@ def simulate_fid(
     noise: NoiseSpec | None = None,
 ) -> DecayCurve:
     """Free-induction decay: damped beats at the hyperfine detunings."""
-    require(DynamicsError, "detuning", detuning)
+    scalar(DynamicsError, "detuning", detuning)
 
     def beat(t):  # summed one component after another, in fid_detunings' order
         deltas, weights = np.array(fid_detunings(system, env, detuning)).T[:, :, None]
@@ -416,8 +417,8 @@ def simulate_hahn(
     1 - mod_depth*sin^4(pi*f_L*t), which returns to 1 at t = k/f_L.
     ``system`` and ``env`` are not read; they keep the signature of simulate_fid.
     """
-    require(DynamicsError, "larmor_freq", larmor_freq, "finite and nonnegative")
-    require(DynamicsError, "mod_depth", mod_depth)
+    scalar(DynamicsError, "larmor_freq", larmor_freq, "finite and nonnegative")
+    scalar(DynamicsError, "mod_depth", mod_depth)
     return _closed_form_trace(
         "hahn", coh.t2, times, baseline, amplitude, stretch, noise,
         lambda t: 1.0 - mod_depth * np.sin(np.pi * larmor_freq * t) ** 4)
@@ -437,148 +438,147 @@ def simulate_relaxometry(
 # ---------------------------------------------------------------------------
 # fitting and spectral analysis
 
-def fit_decay_envelope(curve: DecayCurve, model: DecayModel,
-                       max_components: int = 3) -> EnvelopeFit:
+def _envelope(t, t_coh, n):
+    return np.exp(-np.power(np.clip(t / t_coh, 0.0, 50.0), n))
+
+
+def fit_decay_envelope(curve: DecayCurve, model: DecayModel) -> EnvelopeFit:
     """Fit a stretched/single-exponential envelope, optionally with beats.
 
-    STRETCHED_TIMES_OSC seeds oscillation frequencies from
-    :func:`extract_frequencies` and fits quadrature amplitudes per
-    component under a shared envelope. A trace with no oscillation to seed
-    them, or a fit whose t_coh or n_stretch ends on a bound, raises FitError.
+    STRETCHED_TIMES_OSC is the one beat fit, which :func:`extract_frequencies`
+    reads too: the trace sets the beat count, and each beat's frequency and
+    quadratures are fitted under the shared stretched envelope. A trace with
+    no beat, or a fit whose t_coh or n_stretch ends on a bound, raises FitError.
     """
     if np.ptp(curve.signal) <= 0:
         raise FitError("signal is constant; nothing to fit")
-    times, signal = curve.times, curve.signal
-    weights = sigma_weights(curve.sigma)
-    t_scale = times[-1] - times[0]
-
-    baseline0 = float(signal[-max(len(signal) // 8, 1):].mean())
-    amp0 = float(signal[0] - baseline0)
-    if abs(amp0) < 1e-12:
-        amp0 = float(np.ptp(signal))
-    t0 = max(t_scale / 3.0, times[1] - times[0])
-
-    freqs: tuple = ()
     if model is DecayModel.STRETCHED_TIMES_OSC:
-        freqs = tuple(f for f, _ in extract_frequencies(curve, max_components))
-        if not freqs:
+        if (beats := _beat_fit(curve)) is None:
             raise FitError("no oscillation found to fit with stretched_osc")
-
-    def envelope(t, t_coh, n):
-        return np.exp(-np.power(np.clip(t / t_coh, 0.0, 50.0), n))
-
-    if model is DecayModel.STRETCHED_TIMES_OSC:
-        phases = 2 * np.pi * np.array(freqs)[:, None] * times
-        # rows cos_0, sin_0, cos_1, ..., in the order of the quadratures p[3:]
-        basis = np.stack((np.cos(phases), np.sin(phases)), axis=1).reshape(-1, len(times))
-
-        def residuals(p):
-            b, t_coh, n = p[:3]
-            # summed one term after another, as osc + c_k cos_k + s_k sin_k
-            osc = np.add.reduce(p[3:, None] * basis, axis=0, initial=0.0)
-            return (b + envelope(times, t_coh, n) * osc - signal) * weights
-
-        x0 = np.concatenate([[baseline0, t0, 1.5], np.tile([amp0, 0.0], len(freqs))])
-        bounds = [(-np.inf, np.inf), (1e-9 * t_scale, 1e6 * t_scale), (0.5, 3.0)]
-        bounds += [(-np.inf, np.inf)] * (2 * len(freqs))
+        fit, bounds = beats
+        (b, t_coh, n_fit), a = fit.params[:3], 1.0
+        names, freqs = ("baseline", "t_coh", "n_stretch"), tuple(map(float, fit.params[3::3]))
     else:  # (baseline, amplitude, t_coh, n_stretch); SINGLE_EXP holds n_stretch at 1
+        times, signal, weights = curve.times, curve.signal, sigma_weights(curve.sigma)
+        t_scale = times[-1] - times[0]
+        baseline0 = float(signal[-max(len(signal) // 8, 1):].mean())
+        amp0 = float(signal[0] - baseline0)
+        amp0 = amp0 if abs(amp0) >= 1e-12 else float(np.ptp(signal))
         k = 4 if model is DecayModel.STRETCHED else 3
 
         def residuals(p):
             n = p[3] if k == 4 else 1.0
-            return (p[0] + p[1] * envelope(times, p[2], n) - signal) * weights
-        x0 = [baseline0, amp0, t0, 1.5][:k]
+            return (p[0] + p[1] * _envelope(times, p[2], n) - signal) * weights
+        x0 = [baseline0, amp0, max(t_scale / 3.0, times[1] - times[0]), 1.5][:k]
         bounds = [(-np.inf, np.inf), (-np.inf, np.inf),
                   (1e-9 * t_scale, 1e6 * t_scale), (0.5, 3.0)][:k]
-
-    fit = levenberg_marquardt(residuals, x0, bounds=bounds)
-    if model is DecayModel.STRETCHED_TIMES_OSC:
-        (b, t_coh, n_fit), a = fit.params[:3], 1.0
-        names = ("baseline", "t_coh", "n_stretch")
-    else:
+        fit = levenberg_marquardt(residuals, x0, bounds=bounds)
         b, a, t_coh = fit.params[:3]
         n_fit = 1.0 if model is DecayModel.SINGLE_EXP else fit.params[3]
-        names = ("baseline", "amplitude", "t_coh", "n_stretch")
+        names, freqs = ("baseline", "amplitude", "t_coh", "n_stretch"), ()
     if on_bound := pinned(fit.params, bounds, names):
         raise FitError(f"decay envelope fit ended on a bound: {on_bound}")
 
-    return EnvelopeFit(
-        t_coh=float(t_coh),
-        n_stretch=float(n_fit),
-        amplitude=float(a),
-        baseline=float(b),
-        frequencies=freqs,
-        report=fit,
-    )
+    return EnvelopeFit(t_coh=float(t_coh), n_stretch=float(n_fit), amplitude=float(a),
+                       baseline=float(b), frequencies=freqs, report=fit)
 
 
 def extract_frequencies(curve: DecayCurve, max_components: int):
-    """Dominant oscillation frequencies of a trace as (freq_MHz, amplitude).
+    """The ``max_components`` strongest beats of a trace as (freq_MHz, amplitude).
 
-    DFT magnitude peaks above a noise-adaptive threshold seed a least-squares
-    refinement of damped cosines in the time domain. Components are returned
-    sorted by descending amplitude. A constant trace yields an empty list.
+    They come from the beat fit of STRETCHED_TIMES_OSC (:func:`fit_decay_envelope`),
+    strongest first; a trace with no pencil beat, a constant one included, yields [].
     """
     max_components = whole(DynamicsError, "max_components", max_components, 1)
     if len(curve.times) < 2 * max_components:
         raise DynamicsError("too few points for the requested component count")
-    times, signal = curve.times, curve.signal
-    steps = np.diff(times)
-    if np.ptp(steps) > 1e-9 * steps.mean():
-        uniform = np.linspace(times[0], times[-1], len(times))
-        signal = np.interp(uniform, times, signal)
-        times = uniform
-
-    y = signal - signal.mean()
-    scale = np.max(np.abs(y))
-    if scale <= 1e-12 * max(abs(signal.mean()), 1.0):
+    if (beats := _beat_fit(curve)) is None:
         return []
+    f, amps = beats[0].params[3::3], np.hypot(*beats[0].params[3:].reshape(-1, 3).T[1:])
+    strongest = np.argsort(-amps, kind="stable")[:max_components]
+    return list(zip(f[strongest].tolist(), amps[strongest].tolist()))
 
-    dt = times[1] - times[0]
-    mags = np.abs(np.fft.rfft(y * np.hanning(len(y))))
-    freqs = np.fft.rfftfreq(len(y), dt)
-    # ignore the DC/envelope leakage below two grid bins
-    lo_cut = 2
-    noise_floor = median(mags[lo_cut:])
-    mad = median(np.abs(mags[lo_cut:] - noise_floor))
-    threshold = noise_floor + 8.0 * max(mad, 1e-12 * mags.max())
 
-    mid = mags[lo_cut:-1]
-    peaks = lo_cut + np.flatnonzero((mid > threshold) & (mid >= mags[lo_cut - 1:-2])
-                                    & (mid > mags[lo_cut + 1:]))
-    # highest first; equal peaks keep the lower frequency first
-    peaks = peaks[np.argsort(-mags[peaks], kind="stable")][:max_components]
-    if not peaks.size:
-        return []
-    f_seed = np.sort(freqs[peaks])
-    t_span = times[-1] - times[0]
+def _pencil(times, signal):
+    """Ascending beat frequencies and an envelope time seeded by one matrix pencil.
 
-    # envelope time-constant seed: where the block-maximum of |y| falls to 1/e
-    block = max(int(round(1.0 / (max(f_seed[0], 1e-9) * dt))), 4)
-    starts = np.arange(0, len(y), block)
-    low = np.flatnonzero(np.maximum.reduceat(np.abs(y), starts) < scale / np.e)
-    tau_seed = max(times[starts[low[0]]] - times[0], 3.0 * dt) if low.size else t_span
+    The trace, resampled on n uniform points, fills a Hankel matrix of n//3 + 1
+    columns. The order is the minimum description length of its Gram eigenvalues
+    (Wax & Kailath 1985), floored at 1e-12 of the largest, as a noiseless trace's
+    round-off tail is not flat. The poles are the eigenvalues of pinv(V[:-1]) @ V[1:]
+    for the order's leading eigenvectors V (Hua & Sarkar 1990). A pole above the real
+    axis is a beat, real ones are the envelope and offset; beats within 1/(n dt) merge.
+    """
+    n, dt = len(times), (times[-1] - times[0]) / (len(times) - 1)
+    y = np.interp(np.linspace(times[0], times[-1], n), times, signal)
+    if np.abs(y - y.mean()).max() <= 1e-12 * max(abs(y.mean()), 1.0):  # constant: no beat
+        return np.array([]), 0.0
+    hankel = sliding_window_view(y, n // 3 + 1)
+    lam, vecs = np.linalg.eigh(hankel.T @ hankel)
+    lam, vecs, rows = np.maximum(lam[::-1], 1e-12 * lam[-1]), vecs[:, ::-1], len(hankel)
+    # MDL(k) over the tails lam[k:]: the log of their arithmetic over geometric mean
+    tail, k = np.arange(len(lam), 0, -1), np.arange(len(lam))
+    mean, log_mean = (np.cumsum(x[::-1])[::-1] / tail for x in (lam, np.log(lam)))
+    order = np.argmin(rows * tail * (np.log(mean) - log_mean)
+                      + 0.5 * k * (2 * len(lam) - k) * np.log(rows))
+    v = vecs[:, :max(order, 1)]
+    poles = np.linalg.eigvals(np.linalg.pinv(v[:-1]) @ v[1:])
+    beats = poles[poles.imag > 0]
+    tau = 1.0 / max(1.0 / ((n - 1) * dt), median(-np.log(np.abs(beats)) / dt))
+    return _merged(np.angle(beats) / (2 * np.pi * dt), 1.0 / (n * dt)), tau
+
+
+def _merged(freqs, resolution):
+    """``freqs`` sorted, each run of neighbours closer than ``resolution`` replaced by its mean."""
+    freqs = np.sort(freqs)
+    group = np.cumsum(np.diff(freqs, prepend=-np.inf) >= resolution) - 1
+    return np.bincount(group, freqs) / np.bincount(group)
+
+
+def _beat_fit(curve: DecayCurve):
+    """The beat fit of a trace and its bounds, or None when the pencil finds no beat.
+
+    Its params are (baseline, t_coh, n_stretch, then f, cos and sin per beat) of
+    baseline + exp(-(t/t_coh)^n_stretch) * sum(cos*cos(2 pi f t) + sin*sin(2 pi f t)),
+    fitted on the curve's own times with weights 1/sigma, each f within four bins
+    1/(n dt) of its seed. Beats the fit brings within one bin are merged and refitted;
+    within two bins, only if that lowers the Bayesian information criterion.
+    """
+    times, signal, weights = curve.times, curve.signal, sigma_weights(curve.sigma)
+    freqs, tau = _pencil(times, signal)
+    if not freqs.size:
+        return None
+    n, span = len(times), times[-1] - times[0]
+    df = (n - 1) / (n * span)  # the resolution 1/(n dt)
 
     def residuals(p):
-        env = np.exp(-np.clip((times - times[0]) / p[0], 0.0, 50.0))
-        f, c, s = p[2:].reshape(-1, 3).T[:, :, None]
+        f, c, s = p[3:].reshape(-1, 3).T[:, :, None]
         phase = 2 * np.pi * f * times
-        # the offset p[1], then one component after another
-        return np.add.reduce(env * (c * np.cos(phase) + s * np.sin(phase)),
-                             axis=0, initial=p[1]) - signal
+        # summed one beat after another
+        osc = np.add.reduce(c * np.cos(phase) + s * np.sin(phase), axis=0, initial=0.0)
+        return (p[0] + _envelope(times, p[1], p[2]) * osc - signal) * weights
 
-    x0 = [tau_seed, signal.mean()]
-    bounds = [(2.0 * dt, 1e6 * t_span), (-np.inf, np.inf)]
-    df = freqs[1] - freqs[0]
-    for fj in f_seed:
-        x0 += [fj, scale, 0.0]
-        bounds += [(max(fj - 4 * df, 0.0), fj + 4 * df),
-                   (-4 * scale, 4 * scale), (-4 * scale, 4 * scale)]
-    fit = levenberg_marquardt(residuals, x0, bounds=bounds)
+    def fit_from(freqs):
+        # the baseline and quadratures seeded by linear least squares under the seed envelope
+        phase = 2 * np.pi * freqs * times[:, None]
+        basis = np.column_stack((np.ones(n), *(_envelope(times, tau, 1.0)[:, None]
+                                               * (np.cos(phase), np.sin(phase)))))
+        seed = np.linalg.lstsq(basis * weights[:, None], signal * weights, rcond=None)[0]
+        x0 = np.r_[seed[0], tau, 1.0, np.column_stack((freqs, *seed[1:].reshape(2, -1))).ravel()]
+        bounds = [(-np.inf, np.inf), (1e-9 * span, 1e6 * span), (0.5, 3.0)]
+        for f in freqs:
+            bounds += [(max(f - 4 * df, 0.0), f + 4 * df), (-np.inf, np.inf), (-np.inf, np.inf)]
+        fit = levenberg_marquardt(residuals, x0, bounds=bounds)
+        return n * np.log(max(fit.residual_norm ** 2, 1e-300)) + fit.params.size * np.log(n), \
+            fit, bounds
 
-    f, c, s = fit.params[2:].reshape(-1, 3).T
-    amps = np.hypot(c, s)
-    return [(float(f[j]), float(amps[j])) for j in np.argsort(-amps, kind="stable")]
+    best = fit_from(freqs)
+    for bins in (1, 2):  # merged within one bin, then within two bins if the criterion prefers it
+        fitted = np.sort(best[1].params[3::3])
+        if (np.diff(fitted) < bins * df).any():
+            merged = fit_from(_merged(fitted, bins * df))
+            best = merged if bins == 1 else min(best, merged, key=lambda b: b[0])
+    return best[1:]
 
 
 # ---------------------------------------------------------------------------

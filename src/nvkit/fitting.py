@@ -17,8 +17,8 @@ Every fitter's result (``OdmrFitResult``, ``EnvelopeFit``, ``G2FitResult``,
 that result type documents and ``report.stderr`` aligned with it. Residuals
 are weighted by :func:`sigma_weights`.
 
-``odmr.fit_spectrum`` and ``photon_stats.fit_g2`` pass closed-form
-Jacobians. ``dynamics.fit_decay_envelope``, ``dynamics.extract_frequencies``,
+``odmr.fit_spectrum`` and ``photon_stats.fit_g2`` pass closed-form Jacobians.
+``dynamics.fit_decay_envelope`` (whose beat fit ``extract_frequencies`` reads),
 ``photon_stats.fit_saturation`` and ``confocal.fit_gaussian_slice`` use
 :func:`numeric_jacobian`, which costs two residual calls per parameter.
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .constants import G_LANDE, HBAR_J_S, MU_B_J_PER_T
-from .tables import require
+from .tables import scalar
 
 
 class MagnetometryError(ValueError):
@@ -35,7 +35,7 @@ class SensorParams:
 
     def __post_init__(self):
         for f in fields(self):
-            require(MagnetometryError, f.name, getattr(self, f.name), "finite and positive")
+            scalar(MagnetometryError, f.name, getattr(self, f.name), "finite and positive")
         if self.contrast >= 1:
             raise MagnetometryError("contrast must be below 1")
         if self.t2 < self.t2_star:
@@ -58,7 +58,7 @@ def sensitivity_si(count_rate_hz: float, contrast: float, readout_s: float,
     """Core formula in SI units; returns (eta_dc, eta_ac) in T/sqrt(Hz)."""
     for name, value in zip(("count_rate_hz", "contrast", "readout_s", "t2_star_s", "t2_s"),
                            (count_rate_hz, contrast, readout_s, t2_star_s, t2_s)):
-        require(MagnetometryError, name, value, "finite and positive")
+        scalar(MagnetometryError, name, value, "finite and positive")
     prefactor = HBAR_J_S / (G_LANDE * MU_B_J_PER_T)
     eta_dc = prefactor / (contrast * (count_rate_hz * readout_s) ** 0.5) \
         / t2_star_s ** 0.5

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tables import require
+from .tables import require, scalar
 
 
 class NoiseError(ValueError):
@@ -35,8 +35,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "poisson"):
             raise NoiseError(f"unknown noise kind {self.kind!r}")
-        require(NoiseError, "sigma", self.sigma, "finite and nonnegative")
-        require(NoiseError, "counts", self.counts, "finite and nonnegative")
+        scalar(NoiseError, "sigma", self.sigma, "finite and nonnegative")
+        scalar(NoiseError, "counts", self.counts, "finite and nonnegative")
         if not (isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool)
                 and self.seed >= 0):
             raise NoiseError(f"seed must be a nonnegative integer, got {self.seed!r}")

@@ -27,7 +27,7 @@ from .spin_model import (
     project_field,
     unmerged_lines,
 )
-from .tables import MIN_POINTS, columns, numbers, read_table, require, whole, write_table
+from .tables import MIN_POINTS, columns, numbers, read_table, require, scalar, whole, write_table
 
 CW_FWHM_MHZ = 8.0
 PULSED_FWHM_MHZ = 0.7
@@ -74,7 +74,7 @@ class LineShapeModel:
         require(OdmrError, "centers", centers)
         require(OdmrError, "contrasts", contrasts)
         require(OdmrError, "fwhms", fwhms, "finite and positive")
-        require(OdmrError, "baseline", self.baseline)
+        scalar(OdmrError, "baseline", self.baseline)
         if (contrasts < 0).any() or (contrasts >= 1).any():
             raise OdmrError("contrasts must lie in [0, 1)")
 
@@ -161,11 +161,11 @@ def synthesize_spectrum(
     grid = require(OdmrError, "frequency grid", grid)
     if mode not in ("cw", "pulsed"):
         raise OdmrError(f"unknown mode {mode!r}; expected 'cw' or 'pulsed'")
-    require(OdmrError, "contrast", contrast, "finite and nonnegative")
-    require(OdmrError, "baseline", baseline)
+    scalar(OdmrError, "contrast", contrast, "finite and nonnegative")
+    scalar(OdmrError, "baseline", baseline)
     require(OdmrError, "branch_weights", branch_weights, "finite and nonnegative")
     width = fwhm if fwhm is not None else (CW_FWHM_MHZ if mode == "cw" else PULSED_FWHM_MHZ)
-    require(OdmrError, "fwhm", width, "finite and positive")
+    scalar(OdmrError, "fwhm", width, "finite and positive")
 
     if unmerged is None:
         unmerged = orientation_lines(system, env, ensemble)
@@ -325,7 +325,7 @@ def fit_spectrum(
     that ends with a dip's contrast on its bound, 0 or 0.999999, raises
     :class:`~nvkit.fitting.FitError` naming the dip (numbered by center).
     """
-    require(OdmrError, "d_reference", d_reference)
+    scalar(OdmrError, "d_reference", d_reference)
     most = (len(spectrum.freqs) - 1) // 3  # 3 parameters per dip and a baseline
     n_dips = whole(OdmrError, "n_dips", n_dips, 1, most)
     if np.ptp(spectrum.signal) <= 0:
@@ -372,7 +372,7 @@ def fit_spectrum(
 def invert_shift_splitting(v_minus: float, v_plus: float, d: float):
     """Shift/splitting scalars from the two resonance frequencies."""
     for name, value in (("v_minus", v_minus), ("v_plus", v_plus), ("d", d)):
-        require(OdmrError, name, value)
+        scalar(OdmrError, name, value)
     if v_plus < v_minus:
         raise OdmrError("v_plus must be >= v_minus")
     return 0.5 * (v_plus + v_minus) - d, 0.25 * (v_plus - v_minus)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .fitting import FitError, FitResult, levenberg_marquardt, median, pinned, sigma_weights
 from .noise import NoiseSpec, apply_noise
-from .tables import columns, numbers, read_table, require, write_table
+from .tables import columns, numbers, read_table, require, scalar, write_table
 
 TAU_BOUNDS_NS = (0.01, 1e4)
 AMPLITUDE_BOUNDS = (0.0, 5.0)
@@ -218,8 +218,8 @@ class SaturationFit:
     report: FitResult | None = None  # params (c_sat, p_sat); None when built by hand
 
     def __post_init__(self):
-        require(PhotonStatsError, "c_sat", self.c_sat, "finite and positive")
-        require(PhotonStatsError, "p_sat", self.p_sat, "finite and positive")
+        scalar(PhotonStatsError, "c_sat", self.c_sat, "finite and positive")
+        scalar(PhotonStatsError, "p_sat", self.p_sat, "finite and positive")
 
     @property
     def k_linear(self) -> float:

@@ -32,7 +32,7 @@ from .constants import (
     GAMMA_E_MHZ_PER_MT,
     NV_AXES,
 )
-from .tables import frozen, numbers, require
+from .tables import frozen, numbers, require, scalar
 
 MAX_DIMENSION = 18
 LINE_WEIGHT_FLOOR = 0.01  # a line's least strength, as a share of the strongest pair's
@@ -89,8 +89,8 @@ class HyperfineCoupling:
     a_perp: float = 0.0
 
     def __post_init__(self):
-        require(SpinModelError, "hyperfine a_parallel", self.a_parallel)
-        require(SpinModelError, "hyperfine a_perp", self.a_perp)
+        scalar(SpinModelError, "hyperfine a_parallel", self.a_parallel)
+        scalar(SpinModelError, "hyperfine a_perp", self.a_perp)
 
     @property
     def dimension(self) -> int:
@@ -156,8 +156,8 @@ class FieldEnvironment:
 
     def __post_init__(self):
         object.__setattr__(self, "b_lab", _vector3("b_lab", self.b_lab, "3-vector in mT"))
-        require(SpinModelError, "shift_xi", self.shift_xi)
-        require(SpinModelError, "splitting_delta", self.splitting_delta)
+        scalar(SpinModelError, "shift_xi", self.shift_xi)
+        scalar(SpinModelError, "splitting_delta", self.splitting_delta)
 
 
 @dataclass(frozen=True)
@@ -170,8 +170,8 @@ class SpinSystem:
     orientation: NvOrientation = NV_ORIENTATIONS[0]
 
     def __post_init__(self):
-        require(SpinModelError, "d_zfs", self.d_zfs, "finite and positive")
-        require(SpinModelError, "gamma_e", self.gamma_e)
+        scalar(SpinModelError, "d_zfs", self.d_zfs, "finite and positive")
+        scalar(SpinModelError, "gamma_e", self.gamma_e)
         object.__setattr__(self, "nuclei", tuple(self.nuclei))
         for k, nuc in enumerate(self.nuclei):
             if not isinstance(nuc, HyperfineCoupling):
@@ -285,7 +285,7 @@ def build_hamiltonian(system: SpinSystem, env: FieldEnvironment) -> HamiltonianM
 def resonance_frequencies_approx(d: float, xi: float, delta: float):
     """First-order two-line approximation: (D + xi - 2*delta, D + xi + 2*delta)."""
     for name, value in (("d", d), ("xi", xi), ("delta", delta)):
-        require(SpinModelError, name, value)
+        scalar(SpinModelError, name, value)
     return d + xi - 2.0 * delta, d + xi + 2.0 * delta
 
 
@@ -375,5 +375,5 @@ def transition_lines(system: SpinSystem, env: FieldEnvironment, merge_tol: float
     :func:`unmerged_lines` keeps. Lines closer than ``merge_tol`` (MHz) are
     merged; it must be finite.
     """
-    require(SpinModelError, "merge_tol", merge_tol)
+    scalar(SpinModelError, "merge_tol", merge_tol)
     return merge_lines(*unmerged_lines(system, env), merge_tol)

@@ -10,7 +10,8 @@ Every module checks its fields and arguments here, raising its own error named
 after the field. :func:`numbers` passes what numpy holds as integers or floats
 (or complex, for the one complex record) and refuses a bool, string, ``None``,
 object or ragged sequence; :func:`require` adds the finite/sign check,
-:func:`whole` the whole-number check. A record keeps no caller's array:
+:func:`scalar` the single-number check of every scalar field and argument,
+and :func:`whole` the whole-number check. A record keeps no caller's array:
 :func:`frozen` gives it a read-only copy, so a checked value stays checked;
 :func:`columns` does so for its 1-D columns.
 """
@@ -63,6 +64,18 @@ def require(error, name, value, rule="finite", dtype=float):
     where = np.unravel_index(np.argmin(ok), a.shape)  # the first offending element
     at = f" at index {where[0] if a.ndim == 1 else tuple(map(int, where))}" if a.ndim else ""
     raise error(f"{name} must be {rule}{also}, got {a[where].item()!r}{at}")
+
+
+def scalar(error, name, value, rule="finite"):
+    """Return ``value`` once it is one number that obeys :func:`require`'s ``rule``.
+
+    A sequence or array, even of one element, raises ``error`` naming ``name``:
+    "<name> must be a single number, got shape (2,)".
+    """
+    a = require(error, name, value, rule)
+    if isinstance(a, float) or a.ndim == 0:
+        return value
+    raise error(f"{name} must be a single number, got shape {a.shape}")
 
 
 def whole(error, name, value, low, high=math.inf) -> int:

@@ -24,9 +24,9 @@ from nvkit.confocal import (
     enhancement_ratio, estimate_density, fit_gaussian_slice, gaussian_profile,
 )
 from nvkit.dynamics import (
-    CoherenceParams, DecayCurve, DecayModel, DynamicsError, EnvelopeFit, LaserInit, MwPulse,
-    PulseSequence, Readout, Wait, extract_frequencies, fit_decay_envelope, propagate_sequence,
-    simulate_fid, simulate_hahn, simulate_rabi, simulate_relaxometry,
+    CoherenceParams, DecayCurve, DynamicsError, EnvelopeFit, LaserInit, MwPulse, PulseSequence,
+    Readout, Wait, extract_frequencies, propagate_sequence, simulate_fid, simulate_hahn,
+    simulate_rabi, simulate_relaxometry,
 )
 from nvkit.fitting import FitError, levenberg_marquardt
 from nvkit.magnetometry import MagnetometryError, SensorParams, sensitivity_si
@@ -199,9 +199,6 @@ CASES = [
     Case(extract_frequencies, "max_components", DynamicsError, 3,
          NONFINITE | FRACTIONAL | st.integers(max_value=0),
          lambda k: extract_frequencies(BEATING, k)),
-    Case(fit_decay_envelope, "max_components", DynamicsError, 3,
-         NONFINITE | FRACTIONAL | st.integers(max_value=0),
-         lambda k: fit_decay_envelope(BEATING, DecayModel.STRETCHED_TIMES_OSC, k)),
     # photon_stats
     *fields_of(G2Curve, PhotonStatsError,
                dict(taus=TAUS, g2=np.ones(TAUS.size), sigma=np.full(TAUS.size, 0.02)),
@@ -258,9 +255,9 @@ IDS = [f"{case.target.__name__}-{case.arg}" for case in CASES]
 # result records that hold computed values and carry no invariant to check
 RECORDS = {"FitResult", "G2FitResult", "OdmrFitResult", "SensitivityReport", "SpinOperators"}
 # exported functions that take no numeric argument: records, a path, or nothing
-NO_NUMBERS = {"build_hamiltonian", "gaussian_uniform_ratio", "load_curve", "load_g2", "load_map",
-              "load_saturation", "load_spectrum", "nv_orientations", "save_curve", "save_g2",
-              "save_map", "save_spectrum", "sensitivity"}
+NO_NUMBERS = {"build_hamiltonian", "fit_decay_envelope", "gaussian_uniform_ratio", "load_curve",
+              "load_g2", "load_map", "load_saturation", "load_spectrum", "nv_orientations",
+              "save_curve", "save_g2", "save_map", "save_spectrum", "sensitivity"}
 
 
 def test_every_public_dataclass_is_driven():
@@ -309,6 +306,18 @@ def _non_real(valid, kind):
 def test_non_real_argument_raises_typed_error_naming_it(case, kind):
     with pytest.raises(case.error, match=case.label or case.arg):
         case.call(_non_real(case.valid, kind))
+
+
+# a scalar field or argument given as a sequence of two values, or of one
+SCALARS = [(case, size) for case in CASES if not case.spread
+           and not isinstance(case.valid, np.ndarray) for size in (2, 1)]
+
+
+@pytest.mark.parametrize("case, size", SCALARS,
+                         ids=[f"{case.target.__name__}-{case.arg}-{size}" for case, size in SCALARS])
+def test_sequence_in_place_of_a_scalar_raises_typed_error_naming_it(case, size):
+    with pytest.raises(case.error, match=case.label or case.arg):
+        case.call([case.valid] * size)
 
 
 # the solver's start and box in a shape other than one value and one (lo, hi) pair per parameter

@@ -381,6 +381,23 @@ def test_decay_fit_on_a_bound_or_without_an_oscillation_exits_1(tmp_path):
         assert stdout == ""
 
 
+def test_cis_fid_triple_prints_t2_star_within_2_percent(tmp_path):
+    # CI's coherence path: a 14N FID with T2* 1.76 us, its beats, and its stretched_osc fit
+    fid = str(tmp_path / "fid.txt")
+    assert run_main(["seq-sim", "--kind", "fid", "--nuclei", "n14", "--b", "0,0,4.6",
+                     "--points", "401", "--tmax", "8", "--noise-sigma", "0.002", "--seed", "4",
+                     "--out", fid])[0] == 0
+    code, stdout, _ = run_main(["freq-extract", "--in", fid])
+    assert code == 0 and "freq_0_mhz = 0.19" in stdout
+    code, stdout, _ = run_main(["decay-fit", "--in", fid, "--model", "stretched_osc"])
+    assert code == 0
+    record = dict(line.split(" = ") for line in stdout.splitlines()[1:])
+    assert float(record["t_coh_us"]) == pytest.approx(1.76, rel=0.02)
+    assert record["converged"] == "true"
+    beats = [float(f) for f in record["frequencies_mhz"].split(",")]
+    assert np.allclose(beats, [0.20, 1.96, 2.16, 2.36], atol=0.02)
+
+
 @pytest.mark.parametrize("index", ["61", "-1", "30.7"])
 def test_map_slice_index_outside_its_axis_or_fractional_exits_1(data_dir, index):
     code, stdout, stderr = run_main(["map-slice", "--in", str(data_dir / "map.txt"),
@@ -532,7 +549,9 @@ def test_seeding_fits_does_not_import_numpy_ma(data_dir, tmp_path):
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    assert cli.main(sys.argv[1:]) == 0\n"
               "print('numpy.ma' in sys.modules)")
-    for name in ("g2-fit", "freq-extract", "odmr-fit", "sat-fit"):
+    argvs["stretched_osc"] = ["decay-fit", "--in", str(data_dir / "fid.txt"),
+                              "--model", "stretched_osc"]
+    for name in ("g2-fit", "freq-extract", "odmr-fit", "sat-fit", "stretched_osc"):
         result = subprocess.run([sys.executable, "-c", script, *argvs[name]],
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "False", name

@@ -254,11 +254,13 @@ def test_beat_envelope_fit_has_a_full_rank_jacobian():
     curve = _beat_curve()
     fit = fit_decay_envelope(curve, DecayModel.STRETCHED_TIMES_OSC)
     assert fit.amplitude == 1.0
-    assert fit.report.params.size == 3 + 2 * len(fit.frequencies)
-    phases = 2 * np.pi * np.outer(curve.times, fit.frequencies)
+    # (baseline, t_coh, n_stretch), then (f, cos, sin) per beat
+    assert fit.report.params.size == 3 + 3 * len(fit.frequencies)
+    assert np.array_equal(fit.report.params[3::3], fit.frequencies)
 
     def residuals(p):
-        (b, t_coh, n), (cos_amps, sin_amps) = p[:3], p[3:].reshape(-1, 2).T
+        (b, t_coh, n), (freqs, cos_amps, sin_amps) = p[:3], p[3:].reshape(-1, 3).T
+        phases = 2 * np.pi * np.outer(curve.times, freqs)
         osc = np.cos(phases) @ cos_amps + np.sin(phases) @ sin_amps
         return (b + np.exp(-(curve.times / t_coh) ** n) * osc - curve.signal) / curve.sigma
 

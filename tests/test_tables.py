@@ -186,3 +186,22 @@ def test_whole_without_an_upper_bound():
     assert tables.whole(_TableError, "n", 10**6, 1) == 10**6
     with pytest.raises(_TableError, match="^n must be at least 1 and whole, got 0.5$"):
         tables.whole(_TableError, "n", 0.5, 1)
+
+
+@pytest.mark.parametrize("value", [2.5, 3, np.float64(2.5), np.int64(3), np.array(2.5)])
+def test_scalar_returns_one_number_as_it_is(value):
+    assert tables.scalar(_TableError, "x", value, "finite and positive") is value
+
+
+@pytest.mark.parametrize("value, message", [
+    ([2.5, 3.0], r"x must be a single number, got shape \(2,\)"),
+    ([2.5], r"x must be a single number, got shape \(1,\)"),
+    (np.ones((1, 1)), r"x must be a single number, got shape \(1, 1\)"),
+    ([], r"x must be a single number, got shape \(0,\)"),
+    ([np.nan, 1.0], "x must be finite and positive, got nan at index 0"),
+    (-1.0, "x must be finite and positive; x must be positive, got -1.0"),
+    ("2", "x must be real, got '2'"),
+], ids=["pair", "one-element list", "1x1 array", "empty", "nan in a list", "negative", "string"])
+def test_scalar_refuses_a_sequence_after_the_rule_of_require(value, message):
+    with pytest.raises(_TableError, match=f"^{message}$"):
+        tables.scalar(_TableError, "x", value, "finite and positive")
