@@ -5,10 +5,10 @@ counter-rotating terms are dropped (valid for drive strengths far below the
 2.87 GHz transition scale, in practice rabi_freq <= 20 MHz). Propagation
 uses exact matrix exponentials of each piecewise-constant Hamiltonian, so
 there is no step-size error. Free evolution is diagonal in the rotating
-frame's basis and needs no eigensolve. Each call builds the frame once, one
-LAPACK Hermitian eigensolve per distinct pulse Hamiltonian (Rabi frequency
-and phase), and the factors of each distinct segment once; a repeated
-segment, as in an echo or XY8 train, only applies them.
+frame's basis and needs no eigensolve. A thread-safe LRU cache keeps 128
+frames, keyed by the bits of the nuclear dimensions, Hamiltonian coefficients
+and drive frequency, each with its last 8 pulse eigensystems (26 KB per d18
+frame with two, 7.5 MB in all at most); segment factors are built per call.
 
 Decoherence is phenomenological: envelopes multiply coherences. The
 closed-form trace models (FID, Hahn echo, relaxometry) carry stretched
@@ -20,6 +20,8 @@ the mixed state with t1.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -28,8 +30,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .fitting import FitError, FitResult, levenberg_marquardt, median, pinned, sigma_weights
 from .noise import NoiseSpec, apply_noise
-from .spin_model import FieldEnvironment, SpinSystem, eigenbasis, eigenlevels, transition_lines
-from .tables import MIN_POINTS, columns, read_table, require, scalar, whole, write_table
+from .spin_model import (FieldEnvironment, SpinSystem, _coefficients, eigenbasis, eigenlevels,
+                         transition_lines)
+from .tables import MIN_POINTS, columns, frozen, read_table, require, scalar, whole, write_table
 
 READOUT_CONTRAST_SINGLE = 0.2
 
@@ -199,6 +202,27 @@ class SequenceResult:
 # ---------------------------------------------------------------------------
 # propagation
 
+class _Memo(OrderedDict):
+    """A thread-safe map that keeps its ``size`` most recently used values."""
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size, self.lock = size, threading.Lock()
+
+    def lookup(self, key, make):
+        """The value of ``key``; a miss stores ``make()``, run outside the lock."""
+        with self.lock:
+            if key in self:
+                self.move_to_end(key)
+                return self[key]
+        value = make()  # a racing thread may store its own, equal, value too
+        with self.lock:
+            self[key] = value
+            if len(self) > self.size:
+                self.popitem(last=False)
+        return value
+
+
 class _RotatingFrame:
     """Rotating-wave frame built on the exact eigenstates of the static
     Hamiltonian, with the operators of :func:`~nvkit.spin_model.eigenbasis`.
@@ -209,22 +233,37 @@ class _RotatingFrame:
     -f per excitation; drive matrix elements within one sector and all
     static cross-sector couplings oscillate at the drive frequency and are
     dropped. The frame keeps the cross-sector parts of Sx and Sy, scaled by
-    the rotating-wave amplitude 1/sqrt(2).
+    the rotating-wave amplitude 1/sqrt(2). Its arrays are shared, so read-only.
     """
 
     def __init__(self, system: SpinSystem, env: FieldEnvironment, drive_freq: float):
-        evals, (sz2, sx, sy, self.p0) = eigenbasis(system, env)
+        evals, (sz2, sx, sy, p0) = eigenbasis(system, env)
         sectors = np.clip(np.round(np.diag(sz2).real), 0.0, 1.0)
-        self.frame_energies = evals - drive_freq * sectors
+        self.frame_energies = frozen(evals - drive_freq * sectors)
         cross = np.abs(sectors[:, None] - sectors[None, :]) > 0.5
-        self.drive_x, self.drive_y = np.where(cross, np.array((sx, sy)) / np.sqrt(2.0), 0.0)
+        self.drive_x, self.drive_y = frozen(
+            np.where(cross, np.array((sx, sy)) / np.sqrt(2.0), 0.0), complex)
+        self.p0 = frozen(p0, complex)  # a copy, so the rotated Sz^2, Sx and Sy are freed
+        self.rho0 = frozen(p0 / np.trace(p0).real, complex)  # the state after LaserInit
+        self.pulses = _Memo(_PULSES_PER_FRAME)
 
-    def initial_state(self) -> np.ndarray:
-        return self.p0 / np.trace(self.p0).real
+    def eigensystem(self, drive):
+        """Read-only ``(evals, evecs)`` of the pulse ``drive = (rabi_freq, phase)``."""
+        def solve(rabi_freq, phase):
+            h = (np.diag(self.frame_energies) + rabi_freq * np.cos(phase) * self.drive_x
+                 + rabi_freq * np.sin(phase) * self.drive_y)
+            return tuple(frozen(a, a.dtype) for a in eigenlevels(h))
+        return self.pulses.lookup(np.array(drive, float).tobytes(), lambda: solve(*drive))
 
-    def hamiltonian(self, rabi_freq: float, phase: float) -> np.ndarray:
-        return (np.diag(self.frame_energies) + rabi_freq * np.cos(phase) * self.drive_x
-                + rabi_freq * np.sin(phase) * self.drive_y)
+
+_PULSES_PER_FRAME, _FRAMES = 8, _Memo(128)  # d18: 15.7 KB per frame, 5.3 KB per pulse
+
+
+def _frame(system: SpinSystem, env: FieldEnvironment, drive_freq: float) -> _RotatingFrame:
+    """The frame from :data:`_FRAMES`, built by the one eigensolve of a miss."""
+    key = (tuple(nuc.dimension for nuc in system.nuclei),
+           np.append(_coefficients(system, env), drive_freq).tobytes())
+    return _FRAMES.lookup(key, lambda: _RotatingFrame(system, env, drive_freq))
 
 
 def _segment_factors(eigensystem, duration, t_coh, t1_us):
@@ -264,15 +303,14 @@ def propagate_sequence(
     """Run a pulse sequence and return the ms=0 population at readout.
 
     The readout signal is 1 - contrast*(1 - population). Without coh the
-    evolution is purely unitary. Each call builds the rotating frame, each
-    distinct (rabi_freq, phase) eigensystem and each distinct segment's
-    factors once; a repeated segment only applies them.
+    evolution is purely unitary. The frame and its (rabi_freq, phase) eigensystems come
+    from an LRU cache of 128 frames (7.5 MB at most) keyed by the bits of the nuclear
+    dimensions, Hamiltonian coefficients and drive frequency; segment factors are per call.
     """
     scalar(DynamicsError, "readout_contrast", readout_contrast)
-    frame = _RotatingFrame(system, env, seq.drive_freq)
-    # the sequence has one drive frequency, so (rabi_freq, phase) fixes each
-    # pulse Hamiltonian; drive None is free evolution, diagonal in the frame basis
-    eigensystems, segments = {None: (frame.frame_energies, None)}, {}
+    frame = _frame(system, env, seq.drive_freq)
+    # (rabi_freq, phase) fixes a pulse; free evolution is diagonal in the frame basis
+    segments, free = {}, (frame.frame_energies, None)
     if coh is None:
         t_rabi = t_free = t1_us = np.inf
     else:
@@ -280,16 +318,14 @@ def propagate_sequence(
 
     for element in seq.elements:  # LaserInit comes first and Readout last
         if isinstance(element, LaserInit):
-            rho = frame.initial_state()
+            rho = frame.rho0.copy()
         elif isinstance(element, (MwPulse, Wait)):
             drive = (element.rabi_freq, element.phase) if isinstance(element, MwPulse) else None
             key = (drive, element.duration)
             if key not in segments:
-                if drive not in eigensystems:
-                    eigensystems[drive] = eigenlevels(frame.hamiltonian(*drive))
                 t_coh = t_free if drive is None else t_rabi
-                segments[key] = _segment_factors(eigensystems[drive], element.duration,
-                                                 t_coh, t1_us)
+                segments[key] = _segment_factors(frame.eigensystem(drive) if drive else free,
+                                                 element.duration, t_coh, t1_us)
             rho = _evolve(rho, segments[key])
         else:  # Readout
             population = float(np.trace(rho @ frame.p0).real)
@@ -312,8 +348,8 @@ def simulate_rabi(
 ) -> DecayCurve:
     """ms=0 readout signal versus resonant drive duration.
 
-    Builds the rotating frame and the drive's eigensystem once (two
-    eigensolves) and contracts all durations in one matrix product. With
+    Takes the frame and drive eigensystem from :func:`propagate_sequence`'s cache
+    (keyed by bits, 128 frames, 7.5 MB at most) and contracts all durations at once. With
     ``coh``, each point decays as one pulse of :func:`propagate_sequence`
     does, so it does not depend on the other durations of the grid.
     """
@@ -323,9 +359,9 @@ def simulate_rabi(
     durations = require(DynamicsError, "durations", durations, "finite and nonnegative")
     if np.size(durations) == 0:
         raise DynamicsError("empty duration grid")
-    frame = _RotatingFrame(system, env, drive_freq)
-    evals, evecs = eigenlevels(frame.hamiltonian(rabi_freq, 0.0))
-    rho_e, p0_e = evecs.conj().T @ np.array((frame.initial_state(), frame.p0)) @ evecs
+    frame = _frame(system, env, drive_freq)
+    evals, evecs = frame.eigensystem((rabi_freq, 0.0))
+    rho_e, p0_e = evecs.conj().T @ np.array((frame.rho0, frame.p0)) @ evecs
 
     # trace(rho(t) p0) with rho(t)_ij = e^{-2 pi i (E_i - E_j) t} rho_ij
     phases = np.exp(-2j * np.pi * np.outer(durations, evals))

@@ -273,13 +273,17 @@ def build_hamiltonian(system: SpinSystem, env: FieldEnvironment) -> HamiltonianM
     and Sx*sqrt2, whose entries are 0 and +-1, so the sum keeps the bits of
     gamma_e * (B_axial Sz + B_transverse Sx). The returned matrix is a fresh array.
     """
+    h = np.add.reduce(_coefficients(system, env)[:, None, None] * _operators(system).terms, axis=0)
+    return HamiltonianMatrix(entries=h, dimension=system.dimension)
+
+
+def _coefficients(system: SpinSystem, env: FieldEnvironment) -> np.ndarray:
+    """The coefficients of ``_Operators.terms`` that :func:`build_hamiltonian` sums."""
     # b_lab and the axis were checked by their records
     axial, transverse = _projection(env.b_lab, system.orientation.axis)
-    c = np.array([system.d_zfs + env.shift_xi, 2.0 * env.splitting_delta,
-                  system.gamma_e * axial, system.gamma_e * (transverse * _SQRT_HALF),
-                  *(a for nuc in system.nuclei for a in (nuc.a_parallel, nuc.a_perp))])
-    h = np.add.reduce(c[:, None, None] * _operators(system).terms, axis=0)
-    return HamiltonianMatrix(entries=h, dimension=system.dimension)
+    return np.array([system.d_zfs + env.shift_xi, 2.0 * env.splitting_delta,
+                     system.gamma_e * axial, system.gamma_e * (transverse * _SQRT_HALF),
+                     *(a for nuc in system.nuclei for a in (nuc.a_parallel, nuc.a_perp))])
 
 
 def resonance_frequencies_approx(d: float, xi: float, delta: float):

@@ -1,5 +1,9 @@
 """Pulse-sequence propagation and decay-curve analysis."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -315,6 +319,8 @@ def test_wait_relaxes_population_with_t1(tau):
 
 
 def count_eigensolves(monkeypatch):
+    """The list of eigensolves made from now on, from a cold frame cache."""
+    dynamics._FRAMES.clear()
     calls = []
 
     def counting_eigenlevels(h):
@@ -332,6 +338,8 @@ def test_decoherent_sequence_diagonalizes_each_distinct_hamiltonian_once(monkeyp
     calls = count_eigensolves(monkeypatch)
     propagate_sequence(system, env, ramsey(f_low, 1.0), COH)
     assert len(calls) == 2  # the rotating frame, then the one pulse Hamiltonian
+    propagate_sequence(system, env, ramsey(f_low, 2.0), COH)
+    assert len(calls) == 2  # both come from the cache
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +442,8 @@ def test_xy8_d18_diagonalizes_frame_and_two_pulse_phases(monkeypatch):
     calls = count_eigensolves(monkeypatch)
     propagate_sequence(system, env, seq, COH)
     assert len(calls) == 3  # the rotating frame, then one per pulse phase
+    propagate_sequence(system, env, seq, COH)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("coh", [None, COH], ids=["unitary", "decoherent"])
@@ -473,6 +483,193 @@ def test_rabi_sweep_diagonalizes_frame_then_drive(monkeypatch):
     calls = count_eigensolves(monkeypatch)
     simulate_rabi(system, env, COH, drive, 8.0, np.linspace(0.0, 1.0, 101))
     assert len(calls) == 2  # the rotating frame, then the drive Hamiltonian
+    simulate_rabi(system, env, COH, drive, 8.0, np.linspace(0.0, 1.0, 101))
+    assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# the frame cache
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def run_case(kind, dim, coh):
+    """The bits a sequence (or a Rabi sweep) of ``kind`` hands back at dimension ``dim``."""
+    system, env, drive = spin_case(dim)
+    if kind == "rabi":
+        return (simulate_rabi(system, env, coh, drive, 8.0, np.linspace(0.0, 1.3, 57)).signal,)
+    result, rho = propagate_sequence(system, env, sequence(kind, drive, 0.73), coh,
+                                     return_state=True)
+    return result.population, result.signal, rho
+
+
+@pytest.mark.parametrize("coh", [None, COH], ids=["unitary", "decoherent"])
+@pytest.mark.parametrize("dim", [3, 9, 18])
+def test_warm_cache_results_equal_cold_cache_results_bit_for_bit(dim, coh):
+    kinds, cold = ("ramsey", "hahn", "xy8", "rabi"), {}
+    for kind in kinds:
+        dynamics._FRAMES.clear()
+        cold[kind] = run_case(kind, dim, coh)
+    # one frame and its pulses serve every kind, filled by the other kinds' calls too
+    for kind in kinds[::-1] + kinds:
+        assert all(same_bits(a, b) for a, b in zip(cold[kind], run_case(kind, dim, coh))), kind
+
+
+def test_ramsey_sweep_from_a_cold_cache_makes_two_eigensolves(monkeypatch):
+    system = SpinSystem(nuclei=(HyperfineCoupling.nitrogen14(),))
+    env = FieldEnvironment(b_lab=4.6 * AXIS_111)
+    f_drive = transition_lines(system, env)[0][0]
+    calls = count_eigensolves(monkeypatch)
+    trace = [propagate_sequence(system, env, ramsey(f_drive, tau, rabi=8.0), COH).population
+             for tau in np.linspace(0.0, 4.0, 201)]
+    assert len(calls) == 2  # the frame and the one pulse, shared by all 201 points
+    assert np.ptp(trace) > 0.1
+
+
+def test_frame_cache_drops_its_least_recently_used_frame(monkeypatch):
+    system, bound = SpinSystem(), dynamics._FRAMES.size
+    fields = [FieldEnvironment(b_lab=(0.0, 0.0, 0.01 * k)) for k in range(bound + 1)]
+    seq = PulseSequence((LaserInit(1.0), Wait(0.3), Readout(0.5)))  # frame only
+    calls = count_eigensolves(monkeypatch)
+    for env in fields:
+        propagate_sequence(system, env, seq)
+    assert len(calls) == bound + 1
+    assert len(dynamics._FRAMES) == bound
+    propagate_sequence(system, fields[-1], seq)
+    assert len(calls) == bound + 1  # the newest frame is kept
+    propagate_sequence(system, fields[0], seq)
+    assert len(calls) == bound + 2  # the oldest is gone, and built again
+    assert len(dynamics._FRAMES) == bound
+
+
+def test_pulse_memo_stays_bounded_under_a_rabi_frequency_sweep(monkeypatch):
+    system, env, drive = spin_case(9)
+    times, size = np.linspace(0.0, 1.0, 21), dynamics._PULSES_PER_FRAME
+    calls = count_eigensolves(monkeypatch)
+    for rabi in 1.0 + np.arange(size + 4):
+        simulate_rabi(system, env, None, drive, rabi, times)
+    assert len(calls) == 1 + size + 4
+    frame = dynamics._frame(system, env, drive)
+    assert len(frame.pulses) == size
+    simulate_rabi(system, env, None, drive, float(size + 4), times)
+    assert len(calls) == 1 + size + 4  # the newest pulse is kept
+    simulate_rabi(system, env, None, drive, 1.0, times)
+    assert len(calls) == 1 + size + 5  # the oldest is gone
+    assert len(frame.pulses) == size
+
+
+@pytest.mark.parametrize("near", [
+    lambda env, drive: (FieldEnvironment(b_lab=np.nextafter(env.b_lab, np.inf)), drive),
+    lambda env, drive: (FieldEnvironment(b_lab=env.b_lab, splitting_delta=-0.0), drive),
+    lambda env, drive: (env, np.nextafter(drive, np.inf)),
+], ids=["field_one_ulp_away", "negative_zero_splitting", "drive_one_ulp_away"])
+def test_a_frame_that_differs_in_its_bits_is_built_on_its_own(monkeypatch, near):
+    system, env, drive = spin_case(9)
+    other_env, other_drive = near(env, drive)
+    calls = count_eigensolves(monkeypatch)
+    propagate_sequence(system, env, sequence("ramsey", drive, 0.5), COH)
+    propagate_sequence(system, other_env, sequence("ramsey", other_drive, 0.5), COH)
+    assert len(calls) == 4  # a frame and a pulse each
+    assert len(dynamics._FRAMES) == 2
+
+
+def test_cached_arrays_are_read_only_and_the_returned_state_is_fresh():
+    system, env, drive = spin_case(9)
+    dynamics._FRAMES.clear()
+    for seq in (sequence("hahn", drive, 0.4), PulseSequence((LaserInit(1.0), Readout(0.5)))):
+        first, rho = propagate_sequence(system, env, seq, COH, return_state=True)
+        assert rho.flags.writeable
+        rho[:] = 0.0
+        second, rho_again = propagate_sequence(system, env, seq, COH, return_state=True)
+        assert second == first
+        assert np.trace(rho_again).real == pytest.approx(1.0, abs=1e-12)
+    frame = dynamics._frame(system, env, drive)
+    evals, evecs = frame.eigensystem((8.0, 0.0))
+    for a in (frame.frame_energies, frame.drive_x, frame.drive_y, frame.p0, frame.rho0,
+              evals, evecs):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+def run_threads(work, count=8):
+    """Run ``work(index)`` on ``count`` threads with a short switch interval; return
+    what they raised."""
+    errors = []
+
+    def guarded(index):
+        try:
+            work(index)
+        except Exception as exc:  # reported by the calling thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=guarded, args=(i,)) for i in range(count)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return errors
+
+
+class YieldingKey(int):
+    """An int key whose hash lets other threads run, which widens every race window."""
+
+    def __hash__(self):
+        time.sleep(0)
+        return int.__hash__(self)
+
+
+def test_memo_keeps_its_bound_and_values_under_threads():
+    # without its lock, a hit can find its key evicted between the test and the move
+    memo, wrong = dynamics._Memo(3), []
+
+    def work(index):  # seven keys cycled at different strides evict each other constantly
+        for n in range(500):
+            key = YieldingKey(n * (index + 1) % 7)
+            if memo.lookup(key, lambda: ("value", key)) != ("value", key):
+                wrong.append(key)
+
+    assert run_threads(work) == []
+    assert wrong == []
+    assert len(memo) == 3
+
+
+def test_threads_sharing_the_cache_get_the_serial_results(monkeypatch):
+    # a bound well below the field count, so that threads evict each other's frames
+    monkeypatch.setattr(dynamics, "_FRAMES", dynamics._Memo(5))
+    monkeypatch.setattr(dynamics, "_PULSES_PER_FRAME", 2)
+    system = SpinSystem(nuclei=(HyperfineCoupling.nitrogen14(),))
+    jobs = []
+    for k in range(12):
+        env = FieldEnvironment(b_lab=(0.1 * k, 0.0, 3.0 + 0.25 * k))
+        drive = system.d_zfs - system.gamma_e * (3.0 + 0.25 * k)
+        jobs += [(env, sequence("xy8", drive, 0.3, rabi=rabi)) for rabi in (6.0, 8.0, 10.0)]
+
+    def run(job):
+        result, rho = propagate_sequence(system, *job, COH, return_state=True)
+        return result.population, rho
+
+    serial = [run(job) for job in jobs]
+    results = [None] * 8
+
+    def work(index):
+        order = np.random.default_rng(index).permutation(len(jobs))
+        got = {int(k): run(jobs[k]) for k in order}
+        results[index] = [got[k] for k in range(len(jobs))]
+
+    assert run_threads(work) == []
+    for got in results:
+        assert all(p == q and same_bits(r, s) for (p, r), (q, s) in zip(got, serial))
+    assert len(dynamics._FRAMES) <= 5
+    assert all(len(frame.pulses) <= 2 for frame in dynamics._FRAMES.values())
 
 
 # ---------------------------------------------------------------------------
