@@ -5,10 +5,13 @@ counter-rotating terms are dropped (valid for drive strengths far below the
 2.87 GHz transition scale, in practice rabi_freq <= 20 MHz). Propagation
 uses exact matrix exponentials of each piecewise-constant Hamiltonian, so
 there is no step-size error. Free evolution is diagonal in the rotating
-frame's basis and needs no eigensolve. A thread-safe LRU cache keeps 128
-frames, keyed by the bits of the nuclear dimensions, Hamiltonian coefficients
-and drive frequency, each with its last 8 pulse eigensystems (26 KB per d18
-frame with two, 7.5 MB in all at most); segment factors are built per call.
+frame's basis and needs no eigensolve.
+
+Frames are cached per process by ``functools.lru_cache``: the 128 most recently used,
+keyed by the exact bits of the nuclear dimensions, Hamiltonian coefficients and drive
+frequency (one ulp, or -0.0 for 0.0, is another key), each with its 8 most recently used
+pulse eigensystems, keyed by (rabi_freq, phase). A d18 frame takes 23 KB and a pulse 6 KB,
+so 9 MB in all at most. A miss does a cold call's work, so no result depends on the cache.
 
 Decoherence is phenomenological: envelopes multiply coherences. The
 closed-form trace models (FID, Hahn echo, relaxometry) carry stretched
@@ -20,10 +23,9 @@ the mixed state with t1.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -202,25 +204,14 @@ class SequenceResult:
 # ---------------------------------------------------------------------------
 # propagation
 
-class _Memo(OrderedDict):
-    """A thread-safe map that keeps its ``size`` most recently used values."""
+@dataclass(frozen=True)
+class _FrameKey:
+    """A frame's cache key, equal and hashed by ``bits`` alone; the rest builds a miss."""
 
-    def __init__(self, size: int):
-        super().__init__()
-        self.size, self.lock = size, threading.Lock()
-
-    def lookup(self, key, make):
-        """The value of ``key``; a miss stores ``make()``, run outside the lock."""
-        with self.lock:
-            if key in self:
-                self.move_to_end(key)
-                return self[key]
-        value = make()  # a racing thread may store its own, equal, value too
-        with self.lock:
-            self[key] = value
-            if len(self) > self.size:
-                self.popitem(last=False)
-        return value
+    bits: tuple
+    system: SpinSystem = field(compare=False)
+    env: FieldEnvironment = field(compare=False)
+    drive_freq: float = field(compare=False)
 
 
 class _RotatingFrame:
@@ -234,36 +225,37 @@ class _RotatingFrame:
     static cross-sector couplings oscillate at the drive frequency and are
     dropped. The frame keeps the cross-sector parts of Sx and Sy, scaled by
     the rotating-wave amplitude 1/sqrt(2). Its arrays are shared, so read-only.
+    ``eigensystem(rabi_freq, phase)`` is cached per frame, on a partial that holds no frame.
     """
 
-    def __init__(self, system: SpinSystem, env: FieldEnvironment, drive_freq: float):
-        evals, (sz2, sx, sy, p0) = eigenbasis(system, env)
+    def __init__(self, key: _FrameKey):
+        evals, (sz2, sx, sy, p0) = eigenbasis(key.system, key.env)
         sectors = np.clip(np.round(np.diag(sz2).real), 0.0, 1.0)
-        self.frame_energies = frozen(evals - drive_freq * sectors)
+        self.frame_energies = frozen(evals - key.drive_freq * sectors)
         cross = np.abs(sectors[:, None] - sectors[None, :]) > 0.5
         self.drive_x, self.drive_y = frozen(
             np.where(cross, np.array((sx, sy)) / np.sqrt(2.0), 0.0), complex)
         self.p0 = frozen(p0, complex)  # a copy, so the rotated Sz^2, Sx and Sy are freed
         self.rho0 = frozen(p0 / np.trace(p0).real, complex)  # the state after LaserInit
-        self.pulses = _Memo(_PULSES_PER_FRAME)
-
-    def eigensystem(self, drive):
-        """Read-only ``(evals, evecs)`` of the pulse ``drive = (rabi_freq, phase)``."""
-        def solve(rabi_freq, phase):
-            h = (np.diag(self.frame_energies) + rabi_freq * np.cos(phase) * self.drive_x
-                 + rabi_freq * np.sin(phase) * self.drive_y)
-            return tuple(frozen(a, a.dtype) for a in eigenlevels(h))
-        return self.pulses.lookup(np.array(drive, float).tobytes(), lambda: solve(*drive))
+        self.eigensystem = lru_cache(maxsize=_PULSES_PER_FRAME)(partial(
+            _pulse_eigensystem, self.frame_energies, self.drive_x, self.drive_y))
 
 
-_PULSES_PER_FRAME, _FRAMES = 8, _Memo(128)  # d18: 15.7 KB per frame, 5.3 KB per pulse
+def _pulse_eigensystem(frame_energies, drive_x, drive_y, rabi_freq, phase):
+    """Read-only ``(evals, evecs)`` of a frame's pulse of ``rabi_freq`` and ``phase``."""
+    h = (np.diag(frame_energies) + rabi_freq * np.cos(phase) * drive_x
+         + rabi_freq * np.sin(phase) * drive_y)
+    return tuple(frozen(a, a.dtype) for a in eigenlevels(h))
+
+
+_PULSES_PER_FRAME, _FRAMES = 8, lru_cache(maxsize=128)(_RotatingFrame)
 
 
 def _frame(system: SpinSystem, env: FieldEnvironment, drive_freq: float) -> _RotatingFrame:
-    """The frame from :data:`_FRAMES`, built by the one eigensolve of a miss."""
-    key = (tuple(nuc.dimension for nuc in system.nuclei),
-           np.append(_coefficients(system, env), drive_freq).tobytes())
-    return _FRAMES.lookup(key, lambda: _RotatingFrame(system, env, drive_freq))
+    """The cached frame, built on a miss by the one eigensolve of :func:`eigenbasis`."""
+    bits = (tuple(nuc.dimension for nuc in system.nuclei),
+            np.append(_coefficients(system, env), drive_freq).tobytes())
+    return _FRAMES(_FrameKey(bits, system, env, drive_freq))
 
 
 def _segment_factors(eigensystem, duration, t_coh, t1_us):
@@ -303,9 +295,8 @@ def propagate_sequence(
     """Run a pulse sequence and return the ms=0 population at readout.
 
     The readout signal is 1 - contrast*(1 - population). Without coh the
-    evolution is purely unitary. The frame and its (rabi_freq, phase) eigensystems come
-    from an LRU cache of 128 frames (7.5 MB at most) keyed by the bits of the nuclear
-    dimensions, Hamiltonian coefficients and drive frequency; segment factors are per call.
+    evolution is purely unitary. The frame and its pulse eigensystems come from
+    the frame cache (see the module docstring).
     """
     scalar(DynamicsError, "readout_contrast", readout_contrast)
     frame = _frame(system, env, seq.drive_freq)
@@ -324,7 +315,7 @@ def propagate_sequence(
             key = (drive, element.duration)
             if key not in segments:
                 t_coh = t_free if drive is None else t_rabi
-                segments[key] = _segment_factors(frame.eigensystem(drive) if drive else free,
+                segments[key] = _segment_factors(frame.eigensystem(*drive) if drive else free,
                                                  element.duration, t_coh, t1_us)
             rho = _evolve(rho, segments[key])
         else:  # Readout
@@ -348,8 +339,9 @@ def simulate_rabi(
 ) -> DecayCurve:
     """ms=0 readout signal versus resonant drive duration.
 
-    Takes the frame and drive eigensystem from :func:`propagate_sequence`'s cache
-    (keyed by bits, 128 frames, 7.5 MB at most) and contracts all durations at once. With
+    Takes the frame and drive eigensystem from the frame cache (see the module
+    docstring) and contracts all durations at once. ``durations`` must be a
+    strictly increasing 1-D grid of at least ``MIN_POINTS`` values. With
     ``coh``, each point decays as one pulse of :func:`propagate_sequence`
     does, so it does not depend on the other durations of the grid.
     """
@@ -357,10 +349,14 @@ def simulate_rabi(
                         ("readout_contrast", readout_contrast)):
         scalar(DynamicsError, name, value)
     durations = require(DynamicsError, "durations", durations, "finite and nonnegative")
-    if np.size(durations) == 0:
-        raise DynamicsError("empty duration grid")
+    if np.ndim(durations) != 1:
+        raise DynamicsError(f"durations must be 1-D, got shape {np.shape(durations)}")
+    if len(durations) < MIN_POINTS:
+        raise DynamicsError(f"durations must hold at least {MIN_POINTS} points")
+    if not (durations[1:] > durations[:-1]).all():
+        raise DynamicsError("durations must be strictly increasing")
     frame = _frame(system, env, drive_freq)
-    evals, evecs = frame.eigensystem((rabi_freq, 0.0))
+    evals, evecs = frame.eigensystem(float(rabi_freq), 0.0)  # a 0-d array is no cache key
     rho_e, p0_e = evecs.conj().T @ np.array((frame.rho0, frame.p0)) @ evecs
 
     # trace(rho(t) p0) with rho(t)_ij = e^{-2 pi i (E_i - E_j) t} rho_ij
@@ -485,7 +481,10 @@ def fit_decay_envelope(curve: DecayCurve, model: DecayModel) -> EnvelopeFit:
     reads too: the trace sets the beat count, and each beat's frequency and
     quadratures are fitted under the shared stretched envelope. A trace with
     no beat, or a fit whose t_coh or n_stretch ends on a bound, raises FitError.
+    A ``model`` that is not a DecayModel member raises DynamicsError.
     """
+    if not isinstance(model, DecayModel):
+        raise DynamicsError(f"unknown decay model {model!r}")
     if np.ptp(curve.signal) <= 0:
         raise FitError("signal is constant; nothing to fit")
     if model is DecayModel.STRETCHED_TIMES_OSC:

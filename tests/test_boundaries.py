@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nvkit
+from nvkit import dynamics
 from nvkit.confocal import (
     ConfocalError, DensityEstimate, DensityMethod, GaussianSliceFit, PLMap, PsfModel,
     enhancement_ratio, estimate_density, fit_gaussian_slice, gaussian_profile,
@@ -332,6 +333,21 @@ MISSHAPEN = [("x0", dict(x0=0.5)), ("x0", dict(x0=[[0.5, 2.0]])), ("x0", dict(x0
 def test_misshapen_solver_argument_raises_fit_error_naming_it(arg, kwargs):
     with pytest.raises(FitError, match=arg):
         levenberg_marquardt(lambda p: p - 1.0, **{"x0": np.array([0.5, 2.0]), **kwargs})
+
+
+# a Rabi duration grid of the wrong shape, order or length, refused before its frame is built
+MISSHAPEN_DURATIONS = [(np.full((2, 2), 0.5), r"durations must be 1-D, got shape \(2, 2\)"),
+                       (TIMES[::-1], "durations must be strictly increasing"),
+                       (TIMES[:7], "durations must hold at least 8 points")]
+
+
+@pytest.mark.parametrize("durations, message", MISSHAPEN_DURATIONS,
+                         ids=["2-D", "decreasing", "seven-points"])
+def test_misshapen_durations_are_refused_before_the_frame_is_built(durations, message):
+    dynamics._FRAMES.cache_clear()
+    with pytest.raises(DynamicsError, match=message):
+        simulate_rabi(SYSTEM, ENV, None, 2870.0, 5.0, durations)
+    assert dynamics._FRAMES.cache_info().misses == 0
 
 
 def _assert_finite(result):

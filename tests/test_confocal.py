@@ -83,6 +83,14 @@ def test_density_linearity_scalings():
         pytest.approx(0.5 * base.number_density)
 
 
+@pytest.mark.parametrize("method", ["gaussian", "uniform", None, 0],
+                         ids=["gaussian", "uniform", "None", "int"])
+def test_density_refuses_a_method_that_is_not_a_density_method(method):
+    # a DensityMethod value is not a member: the string "gaussian" is refused too
+    with pytest.raises(ConfocalError, match=f"unknown density method {method!r}"):
+        estimate_density(1e6, 1e4, PSF, method)
+
+
 def test_density_rejects_bad_rates():
     with pytest.raises(ConfocalError):
         estimate_density(1e6, 0.0, PSF)

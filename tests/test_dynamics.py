@@ -1,8 +1,10 @@
 """Pulse-sequence propagation and decay-curve analysis."""
 
+import gc
 import sys
 import threading
-import time
+import weakref
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -320,7 +322,7 @@ def test_wait_relaxes_population_with_t1(tau):
 
 def count_eigensolves(monkeypatch):
     """The list of eigensolves made from now on, from a cold frame cache."""
-    dynamics._FRAMES.clear()
+    dynamics._FRAMES.cache_clear()
     calls = []
 
     def counting_eigenlevels(h):
@@ -510,7 +512,7 @@ def run_case(kind, dim, coh):
 def test_warm_cache_results_equal_cold_cache_results_bit_for_bit(dim, coh):
     kinds, cold = ("ramsey", "hahn", "xy8", "rabi"), {}
     for kind in kinds:
-        dynamics._FRAMES.clear()
+        dynamics._FRAMES.cache_clear()
         cold[kind] = run_case(kind, dim, coh)
     # one frame and its pulses serve every kind, filled by the other kinds' calls too
     for kind in kinds[::-1] + kinds:
@@ -529,19 +531,19 @@ def test_ramsey_sweep_from_a_cold_cache_makes_two_eigensolves(monkeypatch):
 
 
 def test_frame_cache_drops_its_least_recently_used_frame(monkeypatch):
-    system, bound = SpinSystem(), dynamics._FRAMES.size
+    system, bound = SpinSystem(), dynamics._FRAMES.cache_info().maxsize
     fields = [FieldEnvironment(b_lab=(0.0, 0.0, 0.01 * k)) for k in range(bound + 1)]
     seq = PulseSequence((LaserInit(1.0), Wait(0.3), Readout(0.5)))  # frame only
     calls = count_eigensolves(monkeypatch)
     for env in fields:
         propagate_sequence(system, env, seq)
     assert len(calls) == bound + 1
-    assert len(dynamics._FRAMES) == bound
+    assert dynamics._FRAMES.cache_info().currsize == bound
     propagate_sequence(system, fields[-1], seq)
     assert len(calls) == bound + 1  # the newest frame is kept
     propagate_sequence(system, fields[0], seq)
     assert len(calls) == bound + 2  # the oldest is gone, and built again
-    assert len(dynamics._FRAMES) == bound
+    assert dynamics._FRAMES.cache_info().currsize == bound
 
 
 def test_pulse_memo_stays_bounded_under_a_rabi_frequency_sweep(monkeypatch):
@@ -551,13 +553,13 @@ def test_pulse_memo_stays_bounded_under_a_rabi_frequency_sweep(monkeypatch):
     for rabi in 1.0 + np.arange(size + 4):
         simulate_rabi(system, env, None, drive, rabi, times)
     assert len(calls) == 1 + size + 4
-    frame = dynamics._frame(system, env, drive)
-    assert len(frame.pulses) == size
+    pulses = dynamics._frame(system, env, drive).eigensystem.cache_info
+    assert pulses().currsize == size
     simulate_rabi(system, env, None, drive, float(size + 4), times)
     assert len(calls) == 1 + size + 4  # the newest pulse is kept
     simulate_rabi(system, env, None, drive, 1.0, times)
     assert len(calls) == 1 + size + 5  # the oldest is gone
-    assert len(frame.pulses) == size
+    assert pulses().currsize == size
 
 
 @pytest.mark.parametrize("near", [
@@ -572,12 +574,12 @@ def test_a_frame_that_differs_in_its_bits_is_built_on_its_own(monkeypatch, near)
     propagate_sequence(system, env, sequence("ramsey", drive, 0.5), COH)
     propagate_sequence(system, other_env, sequence("ramsey", other_drive, 0.5), COH)
     assert len(calls) == 4  # a frame and a pulse each
-    assert len(dynamics._FRAMES) == 2
+    assert dynamics._FRAMES.cache_info().currsize == 2
 
 
 def test_cached_arrays_are_read_only_and_the_returned_state_is_fresh():
     system, env, drive = spin_case(9)
-    dynamics._FRAMES.clear()
+    dynamics._FRAMES.cache_clear()
     for seq in (sequence("hahn", drive, 0.4), PulseSequence((LaserInit(1.0), Readout(0.5)))):
         first, rho = propagate_sequence(system, env, seq, COH, return_state=True)
         assert rho.flags.writeable
@@ -586,7 +588,7 @@ def test_cached_arrays_are_read_only_and_the_returned_state_is_fresh():
         assert second == first
         assert np.trace(rho_again).real == pytest.approx(1.0, abs=1e-12)
     frame = dynamics._frame(system, env, drive)
-    evals, evecs = frame.eigensystem((8.0, 0.0))
+    evals, evecs = frame.eigensystem(8.0, 0.0)
     for a in (frame.frame_energies, frame.drive_x, frame.drive_y, frame.p0, frame.rho0,
               evals, evecs):
         assert not a.flags.writeable
@@ -619,32 +621,15 @@ def run_threads(work, count=8):
     return errors
 
 
-class YieldingKey(int):
-    """An int key whose hash lets other threads run, which widens every race window."""
-
-    def __hash__(self):
-        time.sleep(0)
-        return int.__hash__(self)
-
-
-def test_memo_keeps_its_bound_and_values_under_threads():
-    # without its lock, a hit can find its key evicted between the test and the move
-    memo, wrong = dynamics._Memo(3), []
-
-    def work(index):  # seven keys cycled at different strides evict each other constantly
-        for n in range(500):
-            key = YieldingKey(n * (index + 1) % 7)
-            if memo.lookup(key, lambda: ("value", key)) != ("value", key):
-                wrong.append(key)
-
-    assert run_threads(work) == []
-    assert wrong == []
-    assert len(memo) == 3
-
-
 def test_threads_sharing_the_cache_get_the_serial_results(monkeypatch):
     # a bound well below the field count, so that threads evict each other's frames
-    monkeypatch.setattr(dynamics, "_FRAMES", dynamics._Memo(5))
+    builder, built = dynamics._FRAMES.__wrapped__, []
+
+    def build(key):  # every frame built, kept here to count its pulses at the end
+        built.append(frame := builder(key))
+        return frame
+
+    monkeypatch.setattr(dynamics, "_FRAMES", lru_cache(5)(build))
     monkeypatch.setattr(dynamics, "_PULSES_PER_FRAME", 2)
     system = SpinSystem(nuclei=(HyperfineCoupling.nitrogen14(),))
     jobs = []
@@ -668,8 +653,27 @@ def test_threads_sharing_the_cache_get_the_serial_results(monkeypatch):
     assert run_threads(work) == []
     for got in results:
         assert all(p == q and same_bits(r, s) for (p, r), (q, s) in zip(got, serial))
-    assert len(dynamics._FRAMES) <= 5
-    assert all(len(frame.pulses) <= 2 for frame in dynamics._FRAMES.values())
+    assert dynamics._FRAMES.cache_info().currsize == 5
+    assert all(frame.eigensystem.cache_info().currsize <= 2 for frame in built)
+
+
+def test_an_evicted_frame_is_freed_without_the_cycle_collector(monkeypatch):
+    monkeypatch.setattr(dynamics, "_FRAMES", lru_cache(2)(dynamics._FRAMES.__wrapped__))
+    system, env, drive = spin_case(9)
+    seq = PulseSequence((LaserInit(1.0), Wait(0.3), Readout(0.5)))  # frame only
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        propagate_sequence(system, env, sequence("xy8", drive, 0.4), COH)  # two pulses
+        frame = weakref.ref(dynamics._frame(system, env, drive))
+        assert frame() is not None and frame().eigensystem.cache_info().currsize == 2
+        propagate_sequence(system, FieldEnvironment(b_lab=(0.0, 0.0, 1.0)), seq)
+        assert frame() is not None  # still within the bound
+        propagate_sequence(system, FieldEnvironment(b_lab=(0.0, 0.0, 2.0)), seq)
+        assert frame() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -831,6 +835,21 @@ def test_constant_signal_rejected():
     curve = DecayCurve(times, np.full(times.size, 0.5), np.ones(times.size))
     with pytest.raises(ValueError):
         fit_decay_envelope(curve, DecayModel.STRETCHED)
+
+
+@pytest.mark.parametrize("model", ["stretched", "stretched_osc", "unknown", None, 0],
+                         ids=["stretched", "stretched_osc", "unknown", "None", "int"])
+def test_a_model_that_is_not_a_decay_model_is_refused_before_any_fit(monkeypatch, model):
+    # a DecayModel value is not a member: the string "stretched" is refused too
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran before the model check")
+
+    monkeypatch.setattr(dynamics, "levenberg_marquardt", no_fit)
+    monkeypatch.setattr(dynamics, "_pencil", no_fit)
+    times = np.linspace(0.0, 5.0, 32)
+    curve = DecayCurve(times, 0.5 + 0.4 * np.exp(-times / 1.5), np.full(times.size, 0.01))
+    with pytest.raises(DynamicsError, match=f"unknown decay model {model!r}"):
+        fit_decay_envelope(curve, model)
 
 
 # ---------------------------------------------------------------------------
